@@ -19,7 +19,7 @@ use crate::robust::{BerryConfig, LearningMode};
 use crate::store::{PairRequest, PolicyStore};
 use crate::Result;
 use berry_faults::chip::ChipProfile;
-use berry_nn::network::Sequential;
+use berry_nn::network::{InferScratch, Sequential};
 use berry_rl::dqn::{accumulate_td_gradients, DqnAgent};
 use berry_rl::env::{Environment, Transition};
 use berry_rl::replay::ReplayBuffer;
@@ -97,6 +97,7 @@ fn train_perturbed_only<E: Environment, R: Rng>(
     let observation_shape = agent.observation_shape().to_vec();
     let num_actions = agent.num_actions();
     let gamma = agent.config().gamma;
+    let mut target_scratch = InferScratch::new();
 
     for _ in 0..config.trainer.episodes {
         let mut obs = env.reset(rng);
@@ -123,15 +124,16 @@ fn train_perturbed_only<E: Environment, R: Rng>(
                 let batch = buffer.sample(config.trainer.dqn.batch_size, rng)?;
                 let map = perturber.sample_fault_map(agent.q_net(), &chip, train_ber, rng)?;
                 let mut q_perturbed = perturber.perturb_with_map(agent.q_net(), &map)?;
-                let mut t_perturbed = perturber.perturb_with_map(agent.target_net(), &map)?;
+                let t_perturbed = perturber.perturb_with_map(agent.target_net(), &map)?;
                 q_perturbed.zero_grad();
                 accumulate_td_gradients(
                     &mut q_perturbed,
-                    &mut t_perturbed,
+                    &t_perturbed,
                     &batch,
                     &observation_shape,
                     num_actions,
                     gamma,
+                    &mut target_scratch,
                 )?;
                 agent.q_net_mut().zero_grad();
                 agent

@@ -242,14 +242,6 @@ pub fn berry_update_step_with_scratch(
         fault_map,
     )?;
 
-    // Clean pass: accumulate ∆ in the agent's Q-network (lines 11-13).
-    agent.q_net_mut().zero_grad();
-    let clean_loss = {
-        let (q_net, target_net) = agent.nets_mut();
-        accumulate_td_gradients(q_net, target_net, batch, &observation_shape, num_actions, gamma)?
-    };
-
-    // Perturbed pass: accumulate ˜∆ in the perturbed copy (lines 14-17).
     let (_, q_scratch) = scratch
         .q
         .as_mut()
@@ -258,8 +250,27 @@ pub fn berry_update_step_with_scratch(
         .target
         .as_mut()
         .ok_or_else(|| CoreError::Internal("target scratch slot not prepared".to_string()))?;
+
+    // Clean pass: accumulate ∆ in the agent's Q-network (lines 11-13).
+    // Both passes run Q(s′) through the target slot's inference scratch.
+    agent.q_net_mut().zero_grad();
+    let clean_loss = {
+        let (q_net, target_net) = agent.nets_mut();
+        let (_, infer) = target_scratch.network_and_infer();
+        accumulate_td_gradients(
+            q_net,
+            target_net,
+            batch,
+            &observation_shape,
+            num_actions,
+            gamma,
+            infer,
+        )?
+    };
+
+    // Perturbed pass: accumulate ˜∆ in the perturbed copy (lines 14-17).
     let q_perturbed = q_scratch.network_mut();
-    let target_perturbed = target_scratch.network_mut();
+    let (target_perturbed, infer) = target_scratch.network_and_infer();
     q_perturbed.zero_grad();
     let perturbed_loss = accumulate_td_gradients(
         q_perturbed,
@@ -268,6 +279,7 @@ pub fn berry_update_step_with_scratch(
         &observation_shape,
         num_actions,
         gamma,
+        infer,
     )?;
 
     // θ ← θ − α(∆ + ˜∆) (line 19); target sync every C steps (line 21).

@@ -21,7 +21,7 @@
 //!    `dot = (s0+s2) + (s1+s3)`.
 //! 4. Apply the bias with one plain IEEE add:
 //!    `RowInit` → `bias[i] + dot`, `ColAfter` → `dot + bias[j]`,
-//!    `None` → `dot`.
+//!    `Accumulate` → `C[i][j] + dot`, `None` → `dot`.
 //!
 //! `f32::mul_add`, AVX2 `vfmadd231ps` and NEON `fmla` are all
 //! correctly-rounded fused operations, and IEEE adds are identical on
@@ -182,6 +182,14 @@ pub(crate) fn gemm_nt_fast(
                                 c[i * n + j0..i * n + j0 + nj].iter_mut().zip(dot_row)
                             {
                                 *out = row_bias + dot;
+                            }
+                        }
+                    }
+                    BiasMode::Accumulate => {
+                        for (r, dot_row) in strip.chunks_exact(NR_F).take(ni).enumerate() {
+                            let at = (ic + r) * n + j0;
+                            for (out, &dot) in c[at..at + nj].iter_mut().zip(dot_row) {
+                                *out += dot;
                             }
                         }
                     }

@@ -76,8 +76,8 @@ const MR: usize = 4;
 /// Rows of `B` (output columns) processed per register tile.
 const NR: usize = 4;
 
-/// Where the bias enters the accumulation, mirroring the two layer
-/// conventions the training path established.
+/// Where the bias enters the accumulation, mirroring the layer
+/// conventions of the forward and backward passes.
 #[derive(Debug, Clone, Copy)]
 pub enum BiasMode<'a> {
     /// No bias: accumulators start from `+0.0`.
@@ -88,13 +88,20 @@ pub enum BiasMode<'a> {
     /// One bias value per output **column** (`B` row), added *after* the
     /// accumulation — the dense convention (`y = x·Wᵀ + b`).
     ColAfter(&'a [f32]),
+    /// No bias: each accumulator starts from the *current* `C[i][j]`, so
+    /// the call computes `C += A · Bᵀ` — the gradient-accumulation
+    /// convention of the convolution weight gradient.
+    Accumulate,
 }
 
 impl BiasMode<'_> {
+    /// The accumulator's starting value for output row `row`, given the
+    /// element's current contents in `C`.
     #[inline]
-    fn init(&self, row: usize) -> f32 {
+    fn init(&self, row: usize, current: f32) -> f32 {
         match self {
             BiasMode::RowInit(bias) => bias[row],
+            BiasMode::Accumulate => current,
             _ => 0.0,
         }
     }
@@ -131,10 +138,11 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: BiasMod
         let mut j0 = 0;
         while j0 < n {
             let nr = NR.min(n - j0);
-            if mr == MR && nr == NR {
-                tile_4x4(i0, j0, n, k, a, b, &bias, c);
-            } else {
-                tile_edge(i0, mr, j0, nr, n, k, a, b, &bias, c);
+            match mr {
+                4 => tile_rows::<4>(nr, i0, j0, n, k, a, b, &bias, c),
+                3 => tile_rows::<3>(nr, i0, j0, n, k, a, b, &bias, c),
+                2 => tile_rows::<2>(nr, i0, j0, n, k, a, b, &bias, c),
+                _ => tile_rows::<1>(nr, i0, j0, n, k, a, b, &bias, c),
             }
             j0 += NR;
         }
@@ -313,30 +321,60 @@ pub fn gemm_nt_fast_with_backend(
     fast::gemm_nt_fast(m, n, k, a, b, bias, c, packs, backend);
 }
 
-/// The full `MR×NR` register tile: sixteen scalar accumulators live in
-/// registers across the whole `k` sweep, and each `k` step reuses four
-/// loads of `A` and four of `B` for sixteen multiply-adds.
+/// Dispatches an `R`-row tile to its column count (`nr` ≤ [`NR`]).
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn tile_4x4(i0: usize, j0: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: &BiasMode, c: &mut [f32]) {
-    let a0 = &a[i0 * k..(i0 + 1) * k];
-    let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
-    let a2 = &a[(i0 + 2) * k..(i0 + 3) * k];
-    let a3 = &a[(i0 + 3) * k..(i0 + 4) * k];
-    let b0 = &b[j0 * k..(j0 + 1) * k];
-    let b1 = &b[(j0 + 1) * k..(j0 + 2) * k];
-    let b2 = &b[(j0 + 2) * k..(j0 + 3) * k];
-    let b3 = &b[(j0 + 3) * k..(j0 + 4) * k];
+fn tile_rows<const R: usize>(
+    nr: usize,
+    i0: usize,
+    j0: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    bias: &BiasMode,
+    c: &mut [f32],
+) {
+    match nr {
+        4 => tile::<R, 4>(i0, j0, n, k, a, b, bias, c),
+        3 => tile::<R, 3>(i0, j0, n, k, a, b, bias, c),
+        2 => tile::<R, 2>(i0, j0, n, k, a, b, bias, c),
+        _ => tile::<R, 1>(i0, j0, n, k, a, b, bias, c),
+    }
+}
 
-    let mut acc = [[0.0f32; NR]; MR];
+/// One `R×C` register tile (`R` ≤ [`MR`], `C` ≤ [`NR`]): `R·C` scalar
+/// accumulators live in registers across the whole `k` sweep, and each
+/// `k` step reuses `R` loads of `A` and `C` of `B` for `R·C`
+/// multiply-adds.  Fringe tiles (`m % MR`, `n % NR`) get the same
+/// independent accumulator chains as full ones instead of one
+/// latency-bound chain per element.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tile<const R: usize, const C: usize>(
+    i0: usize,
+    j0: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    bias: &BiasMode,
+    c: &mut [f32],
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    let b_rows: [&[f32]; C] = std::array::from_fn(|j| &b[(j0 + j) * k..(j0 + j + 1) * k]);
+
+    let mut acc = [[0.0f32; C]; R];
     for (row, acc_row) in acc.iter_mut().enumerate() {
-        let init = bias.init(i0 + row);
-        *acc_row = [init; NR];
+        let c_row = &c[(i0 + row) * n + j0..(i0 + row) * n + j0 + C];
+        for (accv, &current) in acc_row.iter_mut().zip(c_row) {
+            *accv = bias.init(i0 + row, current);
+        }
     }
     for p in 0..k {
-        let av = [a0[p], a1[p], a2[p], a3[p]];
-        let bv = [b0[p], b1[p], b2[p], b3[p]];
-        for (acc_row, &avi) in acc.iter_mut().zip(av.iter()) {
+        let bv: [f32; C] = std::array::from_fn(|j| b_rows[j][p]);
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows.iter()) {
+            let avi = a_row[p];
             for (accv, &bvj) in acc_row.iter_mut().zip(bv.iter()) {
                 // Separate mul + add (not mul_add): the rounding sequence is
                 // part of the bitwise contract with the scalar reference.
@@ -345,34 +383,31 @@ fn tile_4x4(i0: usize, j0: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias
         }
     }
     for (row, acc_row) in acc.iter().enumerate() {
-        let c_row = &mut c[(i0 + row) * n + j0..(i0 + row) * n + j0 + NR];
+        let c_row = &mut c[(i0 + row) * n + j0..(i0 + row) * n + j0 + C];
         for (col, (dst, &accv)) in c_row.iter_mut().zip(acc_row.iter()).enumerate() {
             *dst = bias.finish(j0 + col, accv);
         }
     }
 }
 
-/// Scalar fringe tile for the `m % MR` / `n % NR` remainders — same
-/// ascending-`k` accumulation, so the bits match the fast tile exactly.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn tile_edge(
-    i0: usize,
-    mr: usize,
-    j0: usize,
-    nr: usize,
+/// Convenience used by tests and benches: the naive triple loop (one
+/// accumulator per output element, `k` ascending) the tiled kernel must
+/// agree with bitwise.
+pub fn gemm_nt_reference(
+    m: usize,
     n: usize,
     k: usize,
     a: &[f32],
     b: &[f32],
-    bias: &BiasMode,
+    bias: BiasMode,
     c: &mut [f32],
 ) {
-    for i in i0..i0 + mr {
+    check_gemm_shapes(m, n, k, a, b, c);
+    for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
-        for j in j0..j0 + nr {
+        for j in 0..n {
             let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = bias.init(i);
+            let mut acc = bias.init(i, c[i * n + j]);
             for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
                 acc += av * bv;
             }
@@ -636,20 +671,6 @@ pub fn im2col(input: &[f32], shape: &Im2colShape, col: &mut [f32]) {
     }
 }
 
-/// Convenience used by tests and benches: the naive triple loop the tiled
-/// kernel must agree with bitwise.
-pub fn gemm_nt_reference(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: BiasMode,
-    c: &mut [f32],
-) {
-    tile_edge(0, m, 0, n, n, k, a, b, &bias, c);
-}
-
 /// FLOP count of one `gemm_nt` call (a multiply and an add per `(i, j, p)`
 /// triple), used by the throughput reports.
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
@@ -686,13 +707,17 @@ mod tests {
             let b = rand_vec(n * k, &mut r);
             let row_bias = rand_vec(m, &mut r);
             let col_bias = rand_vec(n, &mut r);
+            // Prior contents of C: overwritten by every mode but
+            // `Accumulate`, which adds the product onto them.
+            let c_prior = rand_vec(m * n, &mut r);
             for bias in [
                 BiasMode::None,
                 BiasMode::RowInit(&row_bias),
                 BiasMode::ColAfter(&col_bias),
+                BiasMode::Accumulate,
             ] {
-                let mut c_tiled = vec![0.0f32; m * n];
-                let mut c_ref = vec![0.0f32; m * n];
+                let mut c_tiled = c_prior.clone();
+                let mut c_ref = c_prior.clone();
                 gemm_nt(m, n, k, &a, &b, bias, &mut c_tiled);
                 gemm_nt_reference(m, n, k, &a, &b, bias, &mut c_ref);
                 for (i, (x, y)) in c_tiled.iter().zip(c_ref.iter()).enumerate() {
@@ -824,6 +849,7 @@ mod tests {
                     BiasMode::None => dot,
                     BiasMode::RowInit(bb) => bb[i] + dot,
                     BiasMode::ColAfter(bb) => dot + bb[j],
+                    BiasMode::Accumulate => c[i * n + j] + dot,
                 };
             }
         }
@@ -854,15 +880,17 @@ mod tests {
             let b = rand_vec(n * k, &mut r);
             let row_bias = rand_vec(m, &mut r);
             let col_bias = rand_vec(n, &mut r);
+            let c_prior = rand_vec(m * n, &mut r);
             for bias in [
                 BiasMode::None,
                 BiasMode::RowInit(&row_bias),
                 BiasMode::ColAfter(&col_bias),
+                BiasMode::Accumulate,
             ] {
-                let mut c_spec = vec![0.0f32; m * n];
+                let mut c_spec = c_prior.clone();
                 fast_spec_gemm(m, n, k, &a, &b, bias, &mut c_spec);
                 for backend in [FastBackend::Scalar, FastBackend::Avx2, FastBackend::Neon] {
-                    let mut c_fast = vec![0.0f32; m * n];
+                    let mut c_fast = c_prior.clone();
                     gemm_nt_fast_with_backend(
                         m, n, k, &a, &b, bias, &mut c_fast, &mut packs, backend,
                     );

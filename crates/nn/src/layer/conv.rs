@@ -1,17 +1,21 @@
-//! 2-D convolution layer (naïve direct implementation).
+//! 2-D convolution layer, lowered onto the shared im2col/GEMM core.
 
 use super::Layer;
-use crate::gemm::{gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape};
+use crate::gemm::{gemm_nt, gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape};
 use crate::init;
 use crate::tensor::Tensor;
 
 /// A 2-D convolution over `[batch, channels, height, width]` inputs.
 ///
 /// Weights have shape `[out_channels, in_channels, kernel, kernel]` and the
-/// bias `[out_channels]`.  The implementation is a direct (six-nested-loop)
-/// convolution: slow but simple, bounds-checked and easy to audit, which
-/// matters more than speed for the small C3F2 / C5F4 policy networks used by
-/// the BERRY experiments.
+/// bias `[out_channels]`.  Every pass — training `forward`, `backward` and
+/// the immutable `infer`/`infer_with` — runs on the im2col +
+/// [`gemm_nt`](crate::gemm::gemm_nt) core at the Reference tier (the
+/// inference path follows its scratch's tier), and each output and
+/// gradient element accumulates its terms in the order of the direct
+/// six-loop convolution, so the bits equal that kernel's (see
+/// [`Conv2d::backward`](Layer::backward) and DESIGN.md "Training on the
+/// GEMM core").
 ///
 /// # Examples
 ///
@@ -38,6 +42,59 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
+    scratch: TrainScratch,
+}
+
+/// Gather-table entry of a kernel tap that reaches no output pixel.
+const NO_OUTPUT: u32 = u32::MAX;
+
+/// Reusable per-layer buffers of the training passes, sized for **one**
+/// sample: backward re-runs im2col per sample from the cached input
+/// rather than keeping a batch-sized patch matrix.
+///
+/// A cache, not state: cloning a layer (target-network copies, perturbed
+/// snapshots) starts the clone with empty buffers.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    /// The forward pass's im2col buffer (always at the Reference tier).
+    gemm: GemmScratch,
+    /// One sample's patch matrix transposed, `[tap][pixel]`.
+    col_t: Vec<f32>,
+    /// The input pixels grouped by stride phase; depends only on the
+    /// input extent.
+    phases: Vec<StridePhase>,
+    /// The `(height, width)` the phases were built for.
+    phase_extent: (usize, usize),
+    /// Per phase (concatenated), the flipped weight restricted to the
+    /// phase's taps: `Wf[ic][(oc, tap)]`.
+    flipped: Vec<f32>,
+    /// One phase of one sample's gathered output gradient `G[pixel][(oc, tap)]`.
+    gathered: Vec<f32>,
+    /// One phase of one sample's input gradient, `[ic][pixel]`.
+    dx_block: Vec<f32>,
+}
+
+/// The input pixels at one phase of the stride grid — `(iy + padding)`
+/// and `(ix + padding)` fixed modulo the stride — and the kernel taps
+/// that can reach an output pixel from them.  Every other tap only ever
+/// meets a stride gap, so leaving it out drops exact-zero terms and
+/// nothing else.
+#[derive(Debug)]
+struct StridePhase {
+    /// Flat input-pixel indices `iy·w + ix`, ascending.
+    pixels: Vec<u32>,
+    /// The reaching taps `(kh, kw)` in flipped order: `kh` descending,
+    /// then `kw` descending.
+    taps: Vec<(usize, usize)>,
+    /// `[pixel][tap]` → the output pixel the tap reaches, or [`NO_OUTPUT`]
+    /// where it falls past the output's border.
+    gather: Vec<u32>,
+}
+
+impl Clone for TrainScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl Conv2d {
@@ -76,6 +133,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
+            scratch: TrainScratch::default(),
         }
     }
 
@@ -137,158 +195,90 @@ impl Conv2d {
         }
     }
 
-    #[inline]
-    fn w_at(&self, oc: usize, ic: usize, kh: usize, kw: usize) -> f32 {
-        let k = self.kernel;
-        self.weight.data()[((oc * self.in_channels + ic) * k + kh) * k + kw]
-    }
+    /// Rebuilds the per-phase flipped weights (the weights moved since the
+    /// last backward) and, when the input extent changed, the stride
+    /// phases with their gather tables.
+    fn prepare_input_gradient(&mut self, shape: &Im2colShape) {
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let extent = (shape.height, shape.width);
+        if self.scratch.phase_extent != extent || self.scratch.phases.is_empty() {
+            let phases = &mut self.scratch.phases;
+            phases.clear();
+            for phase_y in 0..s {
+                for phase_x in 0..s {
+                    let mut taps = Vec::new();
+                    for kh in (0..k).rev().filter(|kh| kh % s == phase_y) {
+                        for kw in (0..k).rev().filter(|kw| kw % s == phase_x) {
+                            taps.push((kh, kw));
+                        }
+                    }
+                    let mut pixels = Vec::new();
+                    let mut gather = Vec::new();
+                    for iy in (0..shape.height).filter(|iy| (iy + p) % s == phase_y) {
+                        for ix in (0..shape.width).filter(|ix| (ix + p) % s == phase_x) {
+                            pixels.push(
+                                u32::try_from(iy * shape.width + ix)
+                                    .expect("input plane fits a u32 index"),
+                            );
+                            for &(kh, kw) in &taps {
+                                // On this phase `iy + p − kh` is a multiple
+                                // of the stride whenever it is non-negative.
+                                let oy = (iy + p).checked_sub(kh).map(|v| v / s);
+                                let ox = (ix + p).checked_sub(kw).map(|v| v / s);
+                                gather.push(match (oy, ox) {
+                                    (Some(oy), Some(ox)) if oy < shape.out_h && ox < shape.out_w => {
+                                        u32::try_from(oy * shape.out_w + ox)
+                                            .expect("output plane fits a u32 index")
+                                    }
+                                    _ => NO_OUTPUT,
+                                });
+                            }
+                        }
+                    }
+                    // A phase without pixels or taps has nothing to add:
+                    // its dX entries stay at their +0.0 start.
+                    if !pixels.is_empty() && !taps.is_empty() {
+                        phases.push(StridePhase {
+                            pixels,
+                            taps,
+                            gather,
+                        });
+                    }
+                }
+            }
+            self.scratch.phase_extent = extent;
+        }
 
-    #[inline]
-    fn gw_index(&self, oc: usize, ic: usize, kh: usize, kw: usize) -> usize {
-        let k = self.kernel;
-        ((oc * self.in_channels + ic) * k + kh) * k + kw
+        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
+        let w = self.weight.data();
+        let flipped = &mut self.scratch.flipped;
+        flipped.clear();
+        for phase in &self.scratch.phases {
+            for ic in 0..ic_n {
+                for oc in 0..oc_n {
+                    let filter = &w[(oc * ic_n + ic) * k * k..(oc * ic_n + ic + 1) * k * k];
+                    flipped.extend(phase.taps.iter().map(|&(kh, kw)| filter[kh * k + kw]));
+                }
+            }
+        }
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 4, "Conv2d expects [batch, c, h, w] input");
-        let (batch, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        assert_eq!(c, self.in_channels, "Conv2d input channel mismatch");
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        let in_data = input.data();
-        {
-            let out_data = out.data_mut();
-            for n in 0..batch {
-                for oc in 0..self.out_channels {
-                    let bias = self.bias.data()[oc];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = bias;
-                            for ic in 0..self.in_channels {
-                                for kh in 0..self.kernel {
-                                    let iy = (oy * self.stride + kh) as isize - self.padding as isize;
-                                    if iy < 0 || iy >= h as isize {
-                                        continue;
-                                    }
-                                    for kw in 0..self.kernel {
-                                        let ix =
-                                            (ox * self.stride + kw) as isize - self.padding as isize;
-                                        if ix < 0 || ix >= w as isize {
-                                            continue;
-                                        }
-                                        let in_idx = ((n * c + ic) * h + iy as usize) * w
-                                            + ix as usize;
-                                        acc += in_data[in_idx] * self.w_at(oc, ic, kh, kw);
-                                    }
-                                }
-                            }
-                            let out_idx = ((n * self.out_channels + oc) * oh + oy) * ow + ox;
-                            out_data[out_idx] = acc;
-                        }
-                    }
-                }
-            }
+        let mut out = Tensor::default();
+        let mut gemm = std::mem::take(&mut self.scratch.gemm);
+        self.infer_with(input, &mut out, &mut gemm);
+        self.scratch.gemm = gemm;
+        match &mut self.cached_input {
+            Some(cached) => cached.copy_from(input),
+            None => self.cached_input = Some(input.clone()),
         }
-        self.cached_input = Some(input.clone());
         out
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "Conv2d expects [batch, c, h, w] input");
-        let (batch, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        assert_eq!(c, self.in_channels, "Conv2d input channel mismatch");
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        out.reset(&[batch, self.out_channels, oh, ow]);
-        let in_data = input.data();
-        let out_data = out.data_mut();
-        let w_data = self.weight.data();
-        let k = self.kernel;
-        let s = self.stride;
-        let p = self.padding;
-        // Loop-reordered direct convolution: one weight tap is hoisted and
-        // swept across a whole output row.  Every output element still
-        // starts from the bias and receives its taps in (ic, kh, kw)
-        // ascending order — each (ic, kh, kw) iteration touches each
-        // accumulator at most once — so the per-element floating-point add
-        // sequence, and therefore the result bits, are identical to the
-        // index-per-tap training `forward`.  Out-of-bounds taps are
-        // range-clipped instead of `continue`d, skipping exactly the same
-        // terms.
-        for n in 0..batch {
-            for oc in 0..self.out_channels {
-                let bias = self.bias.data()[oc];
-                let out_base = ((n * self.out_channels + oc) * oh) * ow;
-                let out_block = &mut out_data[out_base..out_base + oh * ow];
-                out_block.fill(bias);
-                for ic in 0..self.in_channels {
-                    let plane_base = ((n * c + ic) * h) * w;
-                    let plane = &in_data[plane_base..plane_base + h * w];
-                    let w_base = ((oc * self.in_channels + ic) * k) * k;
-                    for kh in 0..k {
-                        for kw in 0..k {
-                            let wv = w_data[w_base + kh * k + kw];
-                            let kwp = kw as isize - p as isize;
-                            // Output columns whose input column ix = ox*s + kwp
-                            // lands inside [0, w).
-                            let ox_lo = if kwp >= 0 {
-                                0
-                            } else {
-                                ((-kwp) as usize).div_ceil(s)
-                            };
-                            let ox_hi = if (w as isize) > kwp {
-                                (((w as isize - 1 - kwp) / s as isize + 1) as usize).min(ow)
-                            } else {
-                                0
-                            };
-                            if ox_lo >= ox_hi {
-                                continue;
-                            }
-                            let span = ox_hi - ox_lo;
-                            for oy in 0..oh {
-                                let iy = (oy * s + kh) as isize - p as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let in_row =
-                                    &plane[iy as usize * w..iy as usize * w + w];
-                                let acc_row =
-                                    &mut out_block[oy * ow + ox_lo..oy * ow + ox_hi];
-                                let ix_lo = (ox_lo * s) as isize + kwp;
-                                if s == 1 {
-                                    let ix_lo = ix_lo as usize;
-                                    for (acc, &iv) in acc_row
-                                        .iter_mut()
-                                        .zip(in_row[ix_lo..ix_lo + span].iter())
-                                    {
-                                        *acc += iv * wv;
-                                    }
-                                } else {
-                                    let mut ix = ix_lo as usize;
-                                    for acc in acc_row.iter_mut() {
-                                        *acc += in_row[ix] * wv;
-                                        ix += s;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.infer_with(input, out, &mut GemmScratch::new());
     }
 
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
@@ -312,11 +302,11 @@ impl Layer for Conv2d {
         // im2col + GEMM lowering: out[n][oc][p] = bias[oc] + w_row(oc)·col_row(p).
         // Patch columns follow the (ic, kh, kw) tap order.  At the default
         // Reference tier the GEMM accumulates them ascending, so every
-        // output element replays the scalar reference kernel's
-        // floating-point sequence exactly (padding cells contribute +0.0
-        // products, which never change a bias-initialized accumulator's
-        // bits); the Fast tier follows the scratch's precision setting and
-        // trades that bitwise identity for SIMD throughput.
+        // output element replays the direct convolution's floating-point
+        // sequence exactly (padding cells contribute ±0.0 products, which
+        // never change an accumulator that is not −0.0 — see the gemm
+        // module docs); the Fast tier follows the scratch's precision
+        // setting and trades that bitwise identity for SIMD throughput.
         for n in 0..batch {
             let plane = &in_data[n * c * h * w..(n + 1) * c * h * w];
             im2col(plane, &shape, col);
@@ -336,64 +326,135 @@ impl Layer for Conv2d {
         }
     }
 
+    /// Reference GEMMs per sample, in the direct convolution's order.
+    ///
+    /// The direct kernel loops `(n, oc, oy, ox)`, skips `go == 0`, and
+    /// for every in-bounds tap adds `go·x` to `dW[oc][tap]` and `go·w` to
+    /// `dX[ic][iy][ix]`.  Here:
+    ///
+    /// * **dW** — `dW[oc][tap] += Σₚ goₙ[oc][p]·colₙ[p][tap]`, one
+    ///   [`BiasMode::Accumulate`] GEMM per sample with samples ascending,
+    ///   which replays each weight's `(n, oy, ox)` term sequence.
+    /// * **dX** — `dXₙ[ic][pix] = Σₖ Wf[ic][k]·Gₙ[pix][k]` with
+    ///   `k = (oc, kh, kw)` over `kh`, `kw` *descending*; `Wf` is the
+    ///   flipped weight and `Gₙ` gathers `goₙ` through a per-shape table
+    ///   (`0` where a tap falls past the output's border).  For a fixed
+    ///   input pixel, ascending `(oy, ox)` is descending `(kh, kw)`, so
+    ///   ascending `k` is exactly the direct kernel's `(oc, oy, ox)`
+    ///   order: no term is reassociated.  One GEMM runs per stride phase
+    ///   of the input pixels, over only the taps that can reach an output
+    ///   from that phase (the rest only ever meet stride gaps).
+    /// * **bias** — a per-channel sum in the same `(n, p)` order.
+    ///
+    /// The extra terms (the `go == 0` entries, padding taps, border gather
+    /// slots) are all exact `±0.0` products for finite inputs.  Every
+    /// gradient accumulator starts at `+0.0` (`zero_grad`, a fresh `dX`)
+    /// and only ever has values added to it; under round-to-nearest such a
+    /// sum can never become `−0.0`, and adding `±0.0` to anything that is
+    /// not `−0.0` leaves its bits unchanged — so including those terms
+    /// cannot change a bit.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
-            .as_ref()
-            .expect("backward called before forward on Conv2d")
-            .clone();
+            .take()
+            .expect("backward called before forward on Conv2d");
         let (batch, c, h, w) = (
             input.shape()[0],
             input.shape()[1],
             input.shape()[2],
             input.shape()[3],
         );
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
+        let shape = self.im2col_shape(h, w);
+        let (oc_n, plane) = (self.out_channels, shape.rows());
         assert_eq!(
             grad_output.shape(),
-            &[batch, self.out_channels, oh, ow],
+            &[batch, oc_n, shape.out_h, shape.out_w],
             "Conv2d gradient shape mismatch"
         );
-
+        self.prepare_input_gradient(&shape);
+        let taps = shape.cols();
+        let in_pixels = h * w;
         let mut grad_input = Tensor::zeros(&[batch, c, h, w]);
-        let in_data = input.data();
         let go_data = grad_output.data();
 
         for n in 0..batch {
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let go = go_data[((n * self.out_channels + oc) * oh + oy) * ow + ox];
-                        if go == 0.0 {
-                            continue;
+            let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
+
+            // dW += goₙ · colₙ (as goₙ · (colₙᵀ)ᵀ over the pixel index).
+            let col = self.scratch.gemm.col_buffer(plane * taps);
+            im2col(&input.data()[n * c * in_pixels..(n + 1) * c * in_pixels], &shape, col);
+            let col_t = &mut self.scratch.col_t;
+            col_t.resize(taps * plane, 0.0);
+            for (p, row) in col.chunks_exact(taps).enumerate() {
+                for (t, &v) in row.iter().enumerate() {
+                    col_t[t * plane + p] = v;
+                }
+            }
+            gemm_nt(
+                oc_n,
+                taps,
+                plane,
+                go_n,
+                col_t,
+                BiasMode::Accumulate,
+                self.grad_weight.data_mut(),
+            );
+
+            // dXₙ = Wf · Gₙᵀ, one GEMM per stride phase.
+            let TrainScratch {
+                phases,
+                flipped,
+                gathered,
+                dx_block,
+                ..
+            } = &mut self.scratch;
+            let grad_in_n = &mut grad_input.data_mut()[n * c * in_pixels..(n + 1) * c * in_pixels];
+            let mut flipped_at = 0;
+            for phase in phases.iter() {
+                let (npix, ntaps) = (phase.pixels.len(), phase.taps.len());
+                let kc = oc_n * ntaps;
+                gathered.resize(npix * kc, 0.0);
+                for (g_row, idx_row) in gathered
+                    .chunks_exact_mut(kc)
+                    .zip(phase.gather.chunks_exact(ntaps))
+                {
+                    for (g_oc, go_oc) in g_row.chunks_exact_mut(ntaps).zip(go_n.chunks_exact(plane)) {
+                        for (g, &idx) in g_oc.iter_mut().zip(idx_row) {
+                            *g = if idx == NO_OUTPUT { 0.0 } else { go_oc[idx as usize] };
                         }
-                        self.grad_bias.data_mut()[oc] += go;
-                        for ic in 0..self.in_channels {
-                            for kh in 0..self.kernel {
-                                let iy = (oy * self.stride + kh) as isize - self.padding as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kw in 0..self.kernel {
-                                    let ix =
-                                        (ox * self.stride + kw) as isize - self.padding as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let in_idx =
-                                        ((n * c + ic) * h + iy as usize) * w + ix as usize;
-                                    let gw_idx = self.gw_index(oc, ic, kh, kw);
-                                    self.grad_weight.data_mut()[gw_idx] += go * in_data[in_idx];
-                                    grad_input.data_mut()[in_idx] +=
-                                        go * self.w_at(oc, ic, kh, kw);
-                                }
-                            }
-                        }
+                    }
+                }
+                dx_block.resize(c * npix, 0.0);
+                gemm_nt(
+                    c,
+                    npix,
+                    kc,
+                    &flipped[flipped_at..flipped_at + c * kc],
+                    gathered,
+                    BiasMode::None,
+                    dx_block,
+                );
+                flipped_at += c * kc;
+                for (dst, src) in grad_in_n
+                    .chunks_exact_mut(in_pixels)
+                    .zip(dx_block.chunks_exact(npix))
+                {
+                    for (&pix, &v) in phase.pixels.iter().zip(src) {
+                        dst[pix as usize] = v;
                     }
                 }
             }
         }
+
+        let grad_bias = self.grad_bias.data_mut();
+        for go_n in go_data.chunks_exact(oc_n * plane) {
+            for (gb, go_oc) in grad_bias.iter_mut().zip(go_n.chunks_exact(plane)) {
+                for &go in go_oc {
+                    *gb += go;
+                }
+            }
+        }
+        self.cached_input = Some(input);
         grad_input
     }
 
@@ -481,6 +542,111 @@ mod tests {
         assert!((y.data()[0] - 30.5).abs() < 1e-6);
     }
 
+    /// The direct six-nested-loop convolution, forward: the scalar oracle
+    /// every GEMM forward must reproduce bit for bit.
+    fn direct_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
+        let (batch, c, h, w) = (
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        );
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding);
+        let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+        let mut out = Tensor::zeros(&[batch, conv.out_channels, oh, ow]);
+        let (x, wt) = (input.data(), conv.weight.data());
+        let o = out.data_mut();
+        for n in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = conv.bias.data()[oc];
+                        for ic in 0..c {
+                            for kh in 0..k {
+                                let iy = (oy * s + kh) as isize - p as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kw in 0..k {
+                                    let ix = (ox * s + kw) as isize - p as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let in_idx = ((n * c + ic) * h + iy as usize) * w + ix as usize;
+                                    acc += x[in_idx] * wt[((oc * c + ic) * k + kh) * k + kw];
+                                }
+                            }
+                        }
+                        o[((n * conv.out_channels + oc) * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The direct six-nested-loop convolution, backward: accumulates into
+    /// `grad_weight`/`grad_bias` (skipping `go == 0` and out-of-bounds
+    /// taps) and returns dX — the scalar oracle of the GEMM backward.
+    fn direct_backward(
+        conv: &Conv2d,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grad_weight: &mut [f32],
+        grad_bias: &mut [f32],
+    ) -> Tensor {
+        let (batch, c, h, w) = (
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        );
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding);
+        let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+        let mut grad_input = Tensor::zeros(&[batch, c, h, w]);
+        let (x, wt, gos) = (input.data(), conv.weight.data(), grad_output.data());
+        let gi = grad_input.data_mut();
+        for n in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let go = gos[((n * conv.out_channels + oc) * oh + oy) * ow + ox];
+                        if go == 0.0 {
+                            continue;
+                        }
+                        grad_bias[oc] += go;
+                        for ic in 0..c {
+                            for kh in 0..k {
+                                let iy = (oy * s + kh) as isize - p as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kw in 0..k {
+                                    let ix = (ox * s + kw) as isize - p as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let in_idx = ((n * c + ic) * h + iy as usize) * w + ix as usize;
+                                    let w_idx = ((oc * c + ic) * k + kh) * k + kw;
+                                    grad_weight[w_idx] += go * x[in_idx];
+                                    gi[in_idx] += go * wt[w_idx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grad_input
+    }
+
+    fn assert_bits_eq(actual: &[f32], expected: &[f32], what: &str) {
+        assert_eq!(actual.len(), expected.len(), "{what}: length");
+        for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
+            assert_eq!(a.to_bits(), e.to_bits(), "{what} element {i}: {a} vs {e}");
+        }
+    }
+
     #[test]
     fn infer_matches_forward_bitwise() {
         let mut r = rng();
@@ -490,9 +656,7 @@ mod tests {
         let mut out = Tensor::default();
         conv.infer(&x, &mut out);
         assert_eq!(out.shape(), expected.shape());
-        for (a, b) in out.data().iter().zip(expected.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_bits_eq(out.data(), expected.data(), "infer vs forward");
     }
 
     #[test]
@@ -509,34 +673,77 @@ mod tests {
             (4, 2, 3, 1, 0, 5, 5, 5),
             (1, 7, 3, 2, 2, 4, 4, 2),
             (2, 2, 5, 1, 2, 3, 3, 1),
+            (3, 4, 2, 3, 1, 8, 6, 2),
         ] {
+            let at = format!("({ic},{oc},{k},{s},{p},{h},{w},{batch})");
             let mut conv = Conv2d::new(ic, oc, k, s, p, &mut r);
-            let x = Tensor::rand_uniform(&[batch, ic, h, w], -1.0, 1.0, &mut r);
-            let expected = conv.forward(&x);
-            let mut scalar = Tensor::default();
-            conv.infer(&x, &mut scalar);
-            let mut gemmed = Tensor::default();
-            conv.infer_with(&x, &mut gemmed, &mut gemm);
-            assert_eq!(gemmed.shape(), expected.shape());
-            for (i, ((g, sc), f)) in gemmed
-                .data()
-                .iter()
-                .zip(scalar.data())
-                .zip(expected.data())
-                .enumerate()
-            {
-                assert_eq!(
-                    g.to_bits(),
-                    sc.to_bits(),
-                    "gemm vs scalar at ({ic},{oc},{k},{s},{p},{h},{w},{batch}) elem {i}"
-                );
-                assert_eq!(
-                    g.to_bits(),
-                    f.to_bits(),
-                    "gemm vs forward at ({ic},{oc},{k},{s},{p},{h},{w},{batch}) elem {i}"
-                );
+            // Nonzero biases, so the forward's bias-initialized
+            // accumulators are exercised too.
+            conv.bias = Tensor::rand_uniform(&[oc], -0.5, 0.5, &mut r);
+            let mut xs = Vec::new();
+            let mut gos = Vec::new();
+            for _ in 0..2 {
+                let mut x = Tensor::rand_uniform(&[batch, ic, h, w], -1.0, 1.0, &mut r);
+                // −0.0 and +0.0 inputs.
+                for (i, v) in x.data_mut().iter_mut().enumerate().step_by(5) {
+                    *v = if i % 2 == 0 { -0.0 } else { 0.0 };
+                }
+                let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+                let mut go = Tensor::rand_uniform(&[batch, oc, oh, ow], -1.0, 1.0, &mut r);
+                // Exact-zero output gradients (both signs), which the
+                // direct kernel skips.
+                for (i, v) in go.data_mut().iter_mut().enumerate().step_by(3) {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                xs.push(x);
+                gos.push(go);
+            }
+
+            let mut oracle_gw = vec![0.0f32; conv.weight.len()];
+            let mut oracle_gb = vec![0.0f32; oc];
+            // Two backward calls without zero_grad: gradients accumulate.
+            for (x, go) in xs.iter().zip(&gos) {
+                let expected = direct_forward(&conv, x);
+                let expected_gi = direct_backward(&conv, x, go, &mut oracle_gw, &mut oracle_gb);
+
+                let mut scalar = Tensor::default();
+                conv.infer(x, &mut scalar);
+                assert_bits_eq(scalar.data(), expected.data(), &format!("infer at {at}"));
+                let mut gemmed = Tensor::default();
+                conv.infer_with(x, &mut gemmed, &mut gemm);
+                assert_eq!(gemmed.shape(), expected.shape());
+                assert_bits_eq(gemmed.data(), expected.data(), &format!("infer_with at {at}"));
+                let y = conv.forward(x);
+                assert_bits_eq(y.data(), expected.data(), &format!("forward at {at}"));
+
+                let gi = conv.backward(go);
+                assert_eq!(gi.shape(), x.shape());
+                assert_bits_eq(gi.data(), expected_gi.data(), &format!("dX at {at}"));
+                assert_bits_eq(conv.grad_weight.data(), &oracle_gw, &format!("dW at {at}"));
+                assert_bits_eq(conv.grad_bias.data(), &oracle_gb, &format!("grad_bias at {at}"));
             }
         }
+    }
+
+    #[test]
+    fn zero_products_never_change_gradient_accumulators() {
+        // The argument the GEMM backward rests on: accumulators start at
+        // +0.0 and only receive additions, so they are never −0.0, and
+        // adding a ±0.0 product to such a value keeps its bits.
+        for start in [0.0f32, 1.5, -2.25, f32::MIN_POSITIVE, -f32::MIN_POSITIVE] {
+            for (a, b) in [(0.0f32, 3.0f32), (-0.0, 3.0), (0.0, -3.0), (-0.0, -3.0)] {
+                let sum = start + a * b;
+                assert_eq!(sum.to_bits(), start.to_bits(), "{start} + {a}·{b}");
+            }
+        }
+        // Sums starting at +0.0 never reach −0.0, even when every term is
+        // a −0.0 product or the terms cancel exactly.
+        let mut acc = 0.0f32;
+        for term in [-0.0f32, 0.5, -0.5, -0.0, 1e-30, -1e-30, -0.0] {
+            acc += term;
+            assert!(acc != 0.0 || acc.is_sign_positive(), "accumulator became -0.0");
+        }
+        assert_eq!(acc.to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

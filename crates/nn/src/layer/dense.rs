@@ -112,55 +112,17 @@ impl Dense {
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 2, "Dense expects [batch, features] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "Dense input feature mismatch"
-        );
-        let batch = input.shape()[0];
-        let wt = self.weight.transpose().expect("weight is rank 2");
-        let mut out = input.matmul(&wt).expect("checked dims");
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                *out.at2_mut(n, o) += self.bias.data()[o];
-            }
+        let mut out = Tensor::default();
+        self.infer_with(input, &mut out, &mut GemmScratch::new());
+        match &mut self.cached_input {
+            Some(cached) => cached.copy_from(input),
+            None => self.cached_input = Some(input.clone()),
         }
-        self.cached_input = Some(input.clone());
         out
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 2, "Dense expects [batch, features] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "Dense input feature mismatch"
-        );
-        let batch = input.shape()[0];
-        let (in_f, out_f) = (self.in_features, self.out_features);
-        out.reset(&[batch, out_f]);
-        let w = self.weight.data();
-        let b = self.bias.data();
-        let x = input.data();
-        let y = out.data_mut();
-        for n in 0..batch {
-            let row = &x[n * in_f..(n + 1) * in_f];
-            for o in 0..out_f {
-                let w_row = &w[o * in_f..(o + 1) * in_f];
-                // Accumulate over k ascending with the same zero-skip as
-                // `Tensor::matmul`, then add the bias last, so the result is
-                // bitwise identical to `forward`'s matmul-then-bias.
-                let mut acc = 0.0f32;
-                for (&xv, &wv) in row.iter().zip(w_row.iter()) {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    acc += xv * wv;
-                }
-                y[n * out_f + o] = acc + b[o];
-            }
-        }
+        self.infer_with(input, out, &mut GemmScratch::new());
     }
 
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
@@ -173,13 +135,13 @@ impl Layer for Dense {
         let batch = input.shape()[0];
         out.reset(&[batch, self.out_features]);
         // y = x · Wᵀ + b through the tiered GEMM: both operands are
-        // already stored as rows over the contraction dimension.  At the
-        // default Reference tier each element accumulates k-ascending with
-        // the bias added last, so the bits match the scalar `infer`
-        // reference (exact-zero activations that the reference skips
-        // contribute ±0.0, which cannot change a +0.0-initialized
-        // accumulator); the Fast tier follows the scratch's precision
-        // setting instead.
+        // already stored as rows over the contraction dimension, so no
+        // transpose is needed.  At the default Reference tier each element
+        // accumulates k-ascending with the bias added last, so the bits
+        // match `Tensor::matmul` followed by the bias add (exact-zero
+        // activations that matmul skips contribute ±0.0, which cannot
+        // change a +0.0-initialized accumulator); the Fast tier follows
+        // the scratch's precision setting instead.
         let (packs, precision) = gemm.packs_precision();
         gemm_nt_with(
             batch,
@@ -284,6 +246,20 @@ mod tests {
         assert_eq!(layer.out_features(), 7);
     }
 
+    /// The scalar oracle of the dense forward: `Tensor::matmul` against
+    /// the transposed weight (k-ascending, zero activations skipped), then
+    /// the bias added last.
+    fn matmul_forward(layer: &Dense, input: &Tensor) -> Tensor {
+        let wt = layer.weight.transpose().unwrap();
+        let mut out = input.matmul(&wt).unwrap();
+        for n in 0..input.shape()[0] {
+            for o in 0..layer.out_features {
+                *out.at2_mut(n, o) += layer.bias.data()[o];
+            }
+        }
+        out
+    }
+
     #[test]
     fn infer_matches_forward_bitwise() {
         let mut r = rng();
@@ -321,17 +297,17 @@ mod tests {
             if x.len() > 2 {
                 x.data_mut()[2] = -0.0;
             }
-            let expected = layer.forward(&x);
-            let mut scalar = Tensor::default();
-            layer.infer(&x, &mut scalar);
+            layer.bias = Tensor::rand_uniform(&[out_f], -0.5, 0.5, &mut r);
+            let scalar = matmul_forward(&layer, &x);
+            let forward = layer.forward(&x);
             let mut gemmed = Tensor::default();
             layer.infer_with(&x, &mut gemmed, &mut gemm);
-            assert_eq!(gemmed.shape(), expected.shape());
+            assert_eq!(gemmed.shape(), scalar.shape());
             for (i, ((g, sc), f)) in gemmed
                 .data()
                 .iter()
                 .zip(scalar.data())
-                .zip(expected.data())
+                .zip(forward.data())
                 .enumerate()
             {
                 assert_eq!(
@@ -340,9 +316,9 @@ mod tests {
                     "gemm vs scalar at ({in_f},{out_f},{batch}) elem {i}"
                 );
                 assert_eq!(
-                    g.to_bits(),
                     f.to_bits(),
-                    "gemm vs forward at ({in_f},{out_f},{batch}) elem {i}"
+                    sc.to_bits(),
+                    "forward vs scalar at ({in_f},{out_f},{batch}) elem {i}"
                 );
             }
         }

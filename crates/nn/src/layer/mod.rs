@@ -27,33 +27,39 @@ use crate::tensor::Tensor;
 /// automatically.
 pub trait Layer: Send + Sync {
     /// Runs the forward pass, caching anything needed by [`Layer::backward`].
+    ///
+    /// Layers with a matrix-product forward (dense, convolution) compute
+    /// it through [`Layer::infer_with`] at the Reference GEMM tier — the
+    /// one production path — so training and inference share their bits.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Runs an immutable, cache-free forward pass, writing the layer output
     /// into the caller-owned `out` scratch tensor (resizing it in place).
     ///
-    /// This is the deployment/evaluation inference path: it takes `&self`,
-    /// so one network can be shared by reference across data-parallel
-    /// fault-map workers, and it allocates nothing once `out` has reached
-    /// its steady-state capacity.  Implementations MUST produce outputs that
-    /// are **bitwise identical** to [`Layer::forward`] for the same input —
-    /// the floating-point operations and their order are part of the
-    /// contract (pinned by `tests/parallel_determinism.rs`), because the
-    /// evaluation harnesses mix the two paths and average hundreds of
+    /// It takes `&self`, so one network can be shared by reference across
+    /// data-parallel fault-map workers.  Implementations MUST produce
+    /// outputs that are **bitwise identical** to [`Layer::forward`] for the
+    /// same input — the floating-point operations and their order are part
+    /// of the contract (pinned by `tests/parallel_determinism.rs`), because
+    /// the evaluation harnesses mix the two paths and average hundreds of
     /// fault maps whose statistics must not depend on which path ran.
+    /// Matrix-product layers implement it as [`Layer::infer_with`] with a
+    /// fresh Reference-tier [`GemmScratch`]; hot loops should hold a scratch
+    /// and call `infer_with` (through [`crate::network::Sequential`]).
     fn infer(&self, input: &Tensor, out: &mut Tensor);
 
-    /// [`Layer::infer`] through the shared im2col/GEMM inference core.
+    /// [`Layer::infer`] through the shared im2col/GEMM core with a
+    /// caller-owned scratch.
     ///
-    /// This is the path [`crate::network::Sequential`] drives on its hot
-    /// loop: layers with a matrix-product forward (dense, convolution)
-    /// override it to route through [`crate::gemm::gemm_nt`] using the
-    /// caller-owned [`GemmScratch`] for im2col patch buffers, while
-    /// element-wise layers fall back to their scalar `infer`.  The output
-    /// is **bitwise identical** to [`Layer::infer`] (and therefore to
-    /// [`Layer::forward`]) — the GEMM kernel accumulates each output
-    /// element's terms in the same ascending order as the scalar
-    /// reference, and the GEMM-vs-scalar layer tests pin the equality.
+    /// This is the one production forward of the matrix-product layers:
+    /// dense and convolution layers route through
+    /// [`crate::gemm::gemm_nt_with`] here, at the precision tier the
+    /// [`GemmScratch`] carries, and their `forward` and `infer` delegate to
+    /// it at the Reference tier.  Element-wise layers fall back to their
+    /// scalar `infer`.  At the Reference tier each output element
+    /// accumulates its terms in the order of the layer's scalar oracle
+    /// (the direct convolution; matmul then bias), which the layers' unit
+    /// tests pin bitwise.
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         let _ = gemm;
         self.infer(input, out);

@@ -119,13 +119,16 @@ fn reference_tier_is_bitwise_plain_gemm_nt() {
         let b = rand_vec(n * k, &mut r);
         let row_bias = rand_vec(m, &mut r);
         let col_bias = rand_vec(n, &mut r);
+        // Prior contents of C, which only `Accumulate` reads.
+        let c_prior = rand_vec(m * n, &mut r);
         for (label, bias) in [
             ("none", BiasMode::None),
             ("row", BiasMode::RowInit(&row_bias)),
             ("col", BiasMode::ColAfter(&col_bias)),
+            ("accumulate", BiasMode::Accumulate),
         ] {
-            let mut c_plain = vec![0.0f32; m * n];
-            let mut c_tiered = vec![0.0f32; m * n];
+            let mut c_plain = c_prior.clone();
+            let mut c_tiered = c_prior.clone();
             gemm_nt(m, n, k, &a, &b, bias, &mut c_plain);
             gemm_nt_with(
                 m,
@@ -183,18 +186,20 @@ proptest! {
         let b = rand_vec(n * k, &mut r);
         let row_bias = rand_vec(m, &mut r);
         let col_bias = rand_vec(n, &mut r);
+        let c_prior = rand_vec(m * n, &mut r);
         let mut packs = PackScratch::new();
         for bias in [
             BiasMode::None,
             BiasMode::RowInit(&row_bias),
             BiasMode::ColAfter(&col_bias),
+            BiasMode::Accumulate,
         ] {
-            let mut c_ref = vec![0.0f32; m * n];
-            let mut c_fast = vec![0.0f32; m * n];
+            let mut c_ref = c_prior.clone();
+            let mut c_fast = c_prior.clone();
             gemm_nt(m, n, k, &a, &b, bias, &mut c_ref);
             gemm_nt_with(m, n, k, &a, &b, bias, &mut c_fast, Precision::Fast, &mut packs);
-            // The bias term shifts both tiers by the same IEEE add, so the
-            // raw-dot bound still applies to the difference.
+            // The bias (or prior C) term shifts both tiers by the same IEEE
+            // add, so the raw-dot bound still applies to the difference.
             assert_close(m, n, k, &a, &b, &c_ref, &c_fast, "dense");
         }
     }
