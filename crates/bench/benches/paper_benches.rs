@@ -214,10 +214,10 @@ fn bench_evaluate_under_faults(c: &mut Criterion) {
     group.finish();
 }
 
-/// GEMM-vs-direct inference kernels at the paper's policy shapes: the
-/// widest convolution of each policy (C3F2's 8→16 stride-2 layer on 9×9
-/// patches, C5F4's 24→24 layer on 5×5 maps) and each policy's first dense
-/// layer, at batch 1 (single-lane rollout) and batch 8 (lockstep lanes).
+/// GEMM inference kernels at the paper's policy shapes: the widest
+/// convolution of each policy (C3F2's 8→16 stride-2 layer on 9×9 patches,
+/// C5F4's 24→24 layer on 5×5 maps) and each policy's first dense layer,
+/// at batch 1 (single-lane rollout) and batch 8 (lockstep lanes).
 fn bench_gemm_core(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut group = c.benchmark_group("gemm");
@@ -231,9 +231,6 @@ fn bench_gemm_core(c: &mut Criterion) {
         for batch in [1usize, 8] {
             let x = Tensor::rand_uniform(&[batch, ic, hw, hw], -1.0, 1.0, &mut rng);
             let mut out = Tensor::default();
-            group.bench_function(&format!("{label}_b{batch}_direct"), |b| {
-                b.iter(|| conv.infer(black_box(&x), &mut out))
-            });
             let mut gemm = GemmScratch::new();
             group.bench_function(&format!("{label}_b{batch}_gemm"), |b| {
                 b.iter(|| conv.infer_with(black_box(&x), &mut out, &mut gemm))
@@ -249,9 +246,6 @@ fn bench_gemm_core(c: &mut Criterion) {
         for batch in [1usize, 8] {
             let x = Tensor::rand_uniform(&[batch, in_f], -1.0, 1.0, &mut rng);
             let mut out = Tensor::default();
-            group.bench_function(&format!("{label}_b{batch}_scalar"), |b| {
-                b.iter(|| dense.infer(black_box(&x), &mut out))
-            });
             let mut gemm = GemmScratch::new();
             group.bench_function(&format!("{label}_b{batch}_gemm"), |b| {
                 b.iter(|| dense.infer_with(black_box(&x), &mut out, &mut gemm))

@@ -17,6 +17,11 @@
 //!   precision tiers (`_reference` and `_fast` key suffixes) plus the
 //!   Fast-over-Reference speedup per shape, and the lanes-8 rollout rate
 //!   at both tiers — the headline numbers of the SIMD tier;
+//! * **training** — `Sequential::forward` / `backward` at the training
+//!   batch (32) for C3F2 and C5F4, and one C3F2 Classical update
+//!   (`DqnAgent::train_on_batch`) and one BERRY dual-pass update
+//!   (`berry_update_step_with_scratch`) on an ε = 1 Quick replay — the
+//!   calls that make up nearly all of a Quick campaign's wall-clock;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
 //!   once under the legacy contiguous partition and once under the
@@ -34,19 +39,23 @@ use berry_core::evaluate::{
 };
 use berry_core::experiment::ExperimentScale;
 use berry_core::perturb::NetworkPerturber;
+use berry_core::robust::{berry_update_step_with_scratch, DualPassScratch};
 use berry_core::{CampaignRow, PolicyStore, Scenario};
 use berry_faults::chip::ChipProfile;
 use berry_nn::gemm::{gemm_flops, gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape, Precision};
 use berry_nn::layer::{Conv2d, Dense, Layer};
 use berry_nn::network::InferScratch;
 use berry_nn::tensor::Tensor;
+use berry_rl::dqn::DqnAgent;
+use berry_rl::env::Transition;
 use berry_rl::eval::evaluate_policy_batched;
 use berry_rl::policy::QNetworkSpec;
+use berry_rl::replay::ReplayBuffer;
 use berry_rl::Environment;
 use berry_uav::env::{NavigationConfig, NavigationEnv};
 use berry_uav::world::ObstacleDensity;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -54,7 +63,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 9;
+const PR: u32 = 13;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -70,6 +79,12 @@ const SKEW_MS: [u64; 4] = [320, 160, 0, 0];
 /// Worker count of the scheduler comparison (explicit, so the numbers do
 /// not depend on the host's core count).
 const SCHED_WORKERS: usize = 3;
+
+/// Seed of the training section's networks, replay and fault maps (fixed,
+/// so the section measures the same work in every report).
+const TRAIN_SEED: u64 = 0x7EA1_0013;
+/// Timed repetitions per training figure (the median is reported).
+const TRAIN_REPS: usize = 15;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let default_out = format!("BENCH_PR{PR}.json");
@@ -324,6 +339,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let _ = writeln!(json, "  }},");
 
+    // --- Training: forward/backward passes and pair updates, batch 32. ---
+    let training = training_ms()?;
+    let _ = writeln!(json, "  \"training\": {{");
+    let _ = writeln!(json, "    \"batch\": 32,");
+    for (i, (name, ms)) in training.iter().enumerate() {
+        let comma = if i + 1 == training.len() { "" } else { "," };
+        println!("training {name:<24} {ms:>8.3} ms");
+        let _ = writeln!(json, "    \"{name}\": {ms:.3}{comma}");
+    }
+    let _ = writeln!(json, "  }},");
+
     // --- Scheduler: contiguous vs work-stealing on a skewed grid. ---
     // One serial reference run trains every pair into a shared in-memory
     // store; the timed runs then evaluate against the warm cache, so the
@@ -418,6 +444,110 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&out_path, &json)?;
     println!("\nwrote {out_path}");
     Ok(())
+}
+
+/// The median of timing samples.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median wall-clock milliseconds of `f` over [`TRAIN_REPS`] calls, after
+/// two warm-up calls.
+fn median_ms<F: FnMut()>(mut f: F) -> f64 {
+    f();
+    f();
+    median(
+        (0..TRAIN_REPS)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// The training section: `forward` / `backward` of C3F2 and C5F4 at batch
+/// 32, then one C3F2 Classical update and one BERRY dual-pass update at
+/// the Quick `DqnConfig` on an ε = 1 Quick replay.
+fn training_ms() -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>> {
+    let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
+    let mut env = NavigationEnv::new(ExperimentScale::Quick.navigation_config(ObstacleDensity::Medium))?;
+    let shape = env.observation_shape();
+    let actions = env.num_actions();
+    let mut batched = vec![32usize];
+    batched.extend_from_slice(&shape);
+    let mut rows = Vec::new();
+    for (spec, forward, backward) in [
+        (QNetworkSpec::C3F2, "c3f2_forward_ms", "c3f2_backward_ms"),
+        (QNetworkSpec::C5F4, "c5f4_forward_ms", "c5f4_backward_ms"),
+    ] {
+        let mut net = spec.build(&shape, actions, &mut rng)?;
+        let input = Tensor::rand_uniform(&batched, 0.0, 1.0, &mut rng);
+        let grad = Tensor::rand_uniform(&[32, actions], -1.0, 1.0, &mut rng);
+        let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+        for rep in 0..TRAIN_REPS + 2 {
+            let start = Instant::now();
+            drop(net.forward(&input));
+            let forward_ms = start.elapsed().as_secs_f64() * 1e3;
+            let start = Instant::now();
+            drop(net.backward(&grad));
+            let backward_ms = start.elapsed().as_secs_f64() * 1e3;
+            net.zero_grad();
+            // The first two passes warm the buffers.
+            if rep >= 2 {
+                fwd.push(forward_ms);
+                bwd.push(backward_ms);
+            }
+        }
+        rows.push((forward, median(fwd)));
+        rows.push((backward, median(bwd)));
+    }
+
+    let config = ExperimentScale::Quick.trainer_config();
+    let mut replay = ReplayBuffer::new(1_024)?;
+    while replay.len() < 1_024 {
+        let mut obs = env.reset(&mut rng);
+        for _ in 0..config.max_steps_per_episode {
+            let action = rng.gen_range(0..actions);
+            let outcome = env.step(action, &mut rng);
+            let done = outcome.is_terminal();
+            replay.push(Transition {
+                state: obs,
+                action,
+                reward: outcome.reward,
+                next_state: outcome.observation.clone(),
+                done,
+            });
+            obs = outcome.observation;
+            if done || replay.len() == 1_024 {
+                break;
+            }
+        }
+    }
+    let batch_size = config.dqn.batch_size;
+    let mut classical = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, config.dqn, &mut rng)?;
+    let mut berry = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, config.dqn, &mut rng)?;
+    let perturber = NetworkPerturber::new(8)?;
+    let chip = ChipProfile::generic();
+    let mut scratch = DualPassScratch::new();
+    let mut batch_rng = StdRng::seed_from_u64(TRAIN_SEED ^ 1);
+    let classical_ms = median_ms(|| {
+        let batch = replay.sample(batch_size, &mut batch_rng).expect("replay is full");
+        classical.train_on_batch(&batch).expect("classical update");
+    });
+    let berry_ms = median_ms(|| {
+        let batch = replay.sample(batch_size, &mut batch_rng).expect("replay is full");
+        let map = perturber
+            .sample_fault_map(berry.q_net(), &chip, BER, &mut batch_rng)
+            .expect("fault map");
+        berry_update_step_with_scratch(&mut berry, &batch, &perturber, &map, &mut scratch)
+            .expect("berry update");
+    });
+    rows.push(("c3f2_classical_update_ms", classical_ms));
+    rows.push(("c3f2_berry_update_ms", berry_ms));
+    Ok(rows)
 }
 
 /// Runs `f` repeatedly in three ≥ ~0.1 s windows (after one warm-up

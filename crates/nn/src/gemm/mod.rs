@@ -1,12 +1,13 @@
-//! The shared im2col/GEMM inference core.
+//! The shared im2col/GEMM core of training and inference.
 //!
-//! Every inference-path matrix product in the crate — the batched dense
-//! layer and the im2col-lowered convolution — funnels through
-//! [`gemm_nt`]: a cache-friendly, register-tiled `C = A · Bᵀ` kernel over
-//! row-major operands whose rows share the contraction dimension.  One
-//! kernel serving every layer is what makes the batched lockstep rollout
-//! engine pay a *single* well-optimized forward pass per timestep for all
-//! concurrent episode lanes, instead of many tiny cache-unfriendly ones.
+//! Every matrix product of the dense and convolution layers — forward,
+//! the convolution's weight and input gradients, and batched inference —
+//! funnels through [`gemm_nt`]: a cache-friendly, register-tiled
+//! `C = A · Bᵀ` kernel over row-major operands whose rows share the
+//! contraction dimension.  One kernel serving every layer is what makes
+//! the batched lockstep rollout engine pay a *single* well-optimized
+//! forward pass per timestep for all concurrent episode lanes, and what
+//! lets training run at GEMM speed with the scalar kernels' bits.
 //!
 //! # Bitwise contract
 //!
@@ -22,15 +23,17 @@
 //!   rollout engine retire and refill episode lanes without perturbing the
 //!   surviving lanes' Q-values;
 //! * **reference equality** — the GEMM path is bitwise identical to the
-//!   loop-reordered scalar kernels each layer keeps as its auditable
-//!   reference ([`crate::layer::Layer::infer`]), pinned by the
-//!   GEMM-vs-scalar layer tests.
+//!   direct scalar kernels each layer's unit tests keep as their oracle
+//!   (the six-loop convolution forward and backward; matmul then bias),
+//!   pinned by the GEMM-vs-scalar layer tests.
 //!
 //! Zero-valued contraction terms (im2col padding cells, exact-zero
-//! activations skipped by [`crate::tensor::Tensor::matmul`]) contribute
-//! `±0.0` products; since accumulators start from `+0.0` (or a real-valued
-//! bias) and IEEE-754 round-to-nearest addition never turns such a sum into
-//! `-0.0`, including the terms is bitwise equivalent to skipping them.
+//! activations skipped by [`crate::tensor::Tensor::matmul`], exact-zero
+//! output gradients skipped by the direct convolution backward)
+//! contribute `±0.0` products; since accumulators start from `+0.0` (or a
+//! real-valued bias, or a gradient that itself started at `+0.0`) and
+//! IEEE-754 round-to-nearest addition never turns such a sum into `-0.0`,
+//! including the terms is bitwise equivalent to skipping them.
 //!
 //! # Precision tiers
 //!
@@ -390,6 +393,67 @@ fn tile<const R: usize, const C: usize>(
     }
 }
 
+/// [`im2col`]'s transpose: unrolls one sample's `[c, h, w]` plane into
+/// the `[taps][pixels]` matrix
+/// `col_t[(ic·kernel + kh)·kernel + kw][oy·out_w + ox] = input[ic][iy][ix]`
+/// with `+0.0` in padding cells — the operand layout the convolution's
+/// weight-gradient GEMM contracts over pixels with.  Each tap row is
+/// filled with whole input-row runs instead of one tap at a time.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`im2col`].
+pub fn im2col_transposed(input: &[f32], shape: &Im2colShape, col_t: &mut [f32]) {
+    check_im2col(input, shape, col_t);
+    let Im2colShape {
+        channels,
+        height,
+        width,
+        kernel,
+        stride,
+        padding,
+        out_w,
+        ..
+    } = *shape;
+    let rows = shape.rows();
+    for ic in 0..channels {
+        let plane = &input[ic * height * width..(ic + 1) * height * width];
+        for kh in 0..kernel {
+            for kw in 0..kernel {
+                let tap = (ic * kernel + kh) * kernel + kw;
+                let dst = &mut col_t[tap * rows..(tap + 1) * rows];
+                // Output columns whose input column `ox·s + kw − p` lands
+                // inside `[0, width)`.
+                let ox_lo = padding.saturating_sub(kw).div_ceil(stride);
+                let ox_hi = if width + padding > kw {
+                    ((width + padding - kw - 1) / stride + 1).min(out_w)
+                } else {
+                    0
+                };
+                for (oy, out_row) in dst.chunks_exact_mut(out_w).enumerate() {
+                    let iy = (oy * stride + kh).checked_sub(padding).filter(|&iy| iy < height);
+                    let Some(iy) = iy.filter(|_| ox_lo < ox_hi) else {
+                        out_row.fill(0.0);
+                        continue;
+                    };
+                    let in_row = &plane[iy * width..(iy + 1) * width];
+                    out_row[..ox_lo].fill(0.0);
+                    out_row[ox_hi..].fill(0.0);
+                    let ix_lo = ox_lo * stride + kw - padding;
+                    let run = &mut out_row[ox_lo..ox_hi];
+                    if stride == 1 {
+                        run.copy_from_slice(&in_row[ix_lo..ix_lo + run.len()]);
+                    } else {
+                        for (v, &x) in run.iter_mut().zip(in_row[ix_lo..].iter().step_by(stride)) {
+                            *v = x;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Convenience used by tests and benches: the naive triple loop (one
 /// accumulator per output element, `k` ascending) the tiled kernel must
 /// agree with bitwise.
@@ -598,6 +662,35 @@ impl Im2colShape {
     }
 }
 
+/// Validates an im2col call: a consistent shape, exactly one input plane,
+/// and room for the patch matrix.
+fn check_im2col(input: &[f32], shape: &Im2colShape, col: &[f32]) {
+    if let Err(e) = shape.validate() {
+        panic!("im2col: {e}");
+    }
+    let Im2colShape {
+        channels,
+        height,
+        width,
+        ..
+    } = *shape;
+    assert_eq!(
+        input.len(),
+        channels * height * width,
+        "im2col: input holds {} elements but [c, h, w] = [{channels}, {height}, {width}] requires {}",
+        input.len(),
+        channels * height * width
+    );
+    assert!(
+        col.len() >= shape.rows() * shape.cols(),
+        "im2col: col buffer holds {} elements but the {}×{} patch matrix requires {}",
+        col.len(),
+        shape.rows(),
+        shape.cols(),
+        shape.rows() * shape.cols()
+    );
+}
+
 /// Unrolls one sample's `[c, h, w]` plane into the row-major patch matrix
 /// `col[p][(ic·kernel + kh)·kernel + kw] = input[ic][iy][ix]` with `+0.0`
 /// in padding cells.
@@ -613,9 +706,7 @@ impl Im2colShape {
 /// matrix — an inconsistent shape must fail loudly rather than silently
 /// unroll the wrong input rows.
 pub fn im2col(input: &[f32], shape: &Im2colShape, col: &mut [f32]) {
-    if let Err(e) = shape.validate() {
-        panic!("im2col: {e}");
-    }
+    check_im2col(input, shape, col);
     let Im2colShape {
         channels,
         height,
@@ -627,21 +718,6 @@ pub fn im2col(input: &[f32], shape: &Im2colShape, col: &mut [f32]) {
         out_w,
     } = *shape;
     let cols = shape.cols();
-    assert_eq!(
-        input.len(),
-        channels * height * width,
-        "im2col: input holds {} elements but [c, h, w] = [{channels}, {height}, {width}] requires {}",
-        input.len(),
-        channels * height * width
-    );
-    assert!(
-        col.len() >= shape.rows() * cols,
-        "im2col: col buffer holds {} elements but the {}×{} patch matrix requires {}",
-        col.len(),
-        shape.rows(),
-        cols,
-        shape.rows() * cols
-    );
     for oy in 0..out_h {
         for ox in 0..out_w {
             let row = &mut col[(oy * out_w + ox) * cols..(oy * out_w + ox + 1) * cols];
@@ -779,6 +855,48 @@ mod tests {
         assert_eq!(&col[0..4], &[1.0, 2.0, 4.0, 5.0]);
         // Last output pixel sees the bottom-right patch.
         assert_eq!(&col[12..16], &[5.0, 6.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn im2col_transposed_is_the_transpose_of_im2col() {
+        let mut r = rng(3);
+        // (channels, h, w, kernel, stride, padding) — strides 1–3, padding
+        // wider than the kernel reach, kernels larger than the input.
+        for &(c, h, w, k, s, p) in &[
+            (1usize, 1usize, 1usize, 1usize, 1usize, 0usize),
+            (2, 9, 9, 3, 1, 1),
+            (8, 9, 9, 3, 2, 1),
+            (3, 11, 13, 5, 3, 2),
+            (2, 3, 3, 5, 1, 2),
+            (1, 4, 7, 2, 3, 2),
+            (2, 5, 4, 1, 2, 2),
+        ] {
+            let shape = Im2colShape {
+                channels: c,
+                height: h,
+                width: w,
+                kernel: k,
+                stride: s,
+                padding: p,
+                out_h: (h + 2 * p - k) / s + 1,
+                out_w: (w + 2 * p - k) / s + 1,
+            };
+            let input = rand_vec(c * h * w, &mut r);
+            let (rows, cols) = (shape.rows(), shape.cols());
+            let mut col = vec![0.0f32; rows * cols];
+            im2col(&input, &shape, &mut col);
+            let mut col_t = vec![f32::NAN; rows * cols];
+            im2col_transposed(&input, &shape, &mut col_t);
+            for pix in 0..rows {
+                for tap in 0..cols {
+                    assert_eq!(
+                        col_t[tap * rows + pix].to_bits(),
+                        col[pix * cols + tap].to_bits(),
+                        "{shape:?} pixel {pix} tap {tap}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

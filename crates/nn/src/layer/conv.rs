@@ -1,7 +1,9 @@
 //! 2-D convolution layer, lowered onto the shared im2col/GEMM core.
 
 use super::Layer;
-use crate::gemm::{gemm_nt, gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape};
+use crate::gemm::{
+    gemm_nt, gemm_nt_with, im2col, im2col_transposed, BiasMode, GemmScratch, Im2colShape,
+};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -45,9 +47,6 @@ pub struct Conv2d {
     scratch: TrainScratch,
 }
 
-/// Gather-table entry of a kernel tap that reaches no output pixel.
-const NO_OUTPUT: u32 = u32::MAX;
-
 /// Reusable per-layer buffers of the training passes, sized for **one**
 /// sample: backward re-runs im2col per sample from the cached input
 /// rather than keeping a batch-sized patch matrix.
@@ -58,7 +57,7 @@ const NO_OUTPUT: u32 = u32::MAX;
 struct TrainScratch {
     /// The forward pass's im2col buffer (always at the Reference tier).
     gemm: GemmScratch,
-    /// One sample's patch matrix transposed, `[tap][pixel]`.
+    /// One sample's transposed patch matrix, `[tap][pixel]`.
     col_t: Vec<f32>,
     /// The input pixels grouped by stride phase; depends only on the
     /// input extent.
@@ -68,6 +67,9 @@ struct TrainScratch {
     /// Per phase (concatenated), the flipped weight restricted to the
     /// phase's taps: `Wf[ic][(oc, tap)]`.
     flipped: Vec<f32>,
+    /// One sample's output gradient with a `0.0` appended to every
+    /// channel plane, `[oc][plane + 1]`: the gather tables' zero slot.
+    go_padded: Vec<f32>,
     /// One phase of one sample's gathered output gradient `G[pixel][(oc, tap)]`.
     gathered: Vec<f32>,
     /// One phase of one sample's input gradient, `[ic][pixel]`.
@@ -86,8 +88,9 @@ struct StridePhase {
     /// The reaching taps `(kh, kw)` in flipped order: `kh` descending,
     /// then `kw` descending.
     taps: Vec<(usize, usize)>,
-    /// `[pixel][tap]` → the output pixel the tap reaches, or [`NO_OUTPUT`]
-    /// where it falls past the output's border.
+    /// `[pixel][tap]` → the output pixel the tap reaches, or the plane
+    /// size (the zero slot of [`TrainScratch::go_padded`]) where it falls
+    /// past the output's border.
     gather: Vec<u32>,
 }
 
@@ -225,13 +228,15 @@ impl Conv2d {
                                 // of the stride whenever it is non-negative.
                                 let oy = (iy + p).checked_sub(kh).map(|v| v / s);
                                 let ox = (ix + p).checked_sub(kw).map(|v| v / s);
-                                gather.push(match (oy, ox) {
+                                let slot = match (oy, ox) {
                                     (Some(oy), Some(ox)) if oy < shape.out_h && ox < shape.out_w => {
-                                        u32::try_from(oy * shape.out_w + ox)
-                                            .expect("output plane fits a u32 index")
+                                        oy * shape.out_w + ox
                                     }
-                                    _ => NO_OUTPUT,
-                                });
+                                    _ => shape.rows(),
+                                };
+                                gather.push(
+                                    u32::try_from(slot).expect("output plane fits a u32 index"),
+                                );
                             }
                         }
                     }
@@ -380,16 +385,14 @@ impl Layer for Conv2d {
         for n in 0..batch {
             let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
 
-            // dW += goₙ · colₙ (as goₙ · (colₙᵀ)ᵀ over the pixel index).
-            let col = self.scratch.gemm.col_buffer(plane * taps);
-            im2col(&input.data()[n * c * in_pixels..(n + 1) * c * in_pixels], &shape, col);
+            // dW += goₙ · colₙ, contracting over the pixel index of colₙᵀ.
             let col_t = &mut self.scratch.col_t;
             col_t.resize(taps * plane, 0.0);
-            for (p, row) in col.chunks_exact(taps).enumerate() {
-                for (t, &v) in row.iter().enumerate() {
-                    col_t[t * plane + p] = v;
-                }
-            }
+            im2col_transposed(
+                &input.data()[n * c * in_pixels..(n + 1) * c * in_pixels],
+                &shape,
+                col_t,
+            );
             gemm_nt(
                 oc_n,
                 taps,
@@ -404,10 +407,16 @@ impl Layer for Conv2d {
             let TrainScratch {
                 phases,
                 flipped,
+                go_padded,
                 gathered,
                 dx_block,
                 ..
             } = &mut self.scratch;
+            go_padded.resize(oc_n * (plane + 1), 0.0);
+            for (dst, src) in go_padded.chunks_exact_mut(plane + 1).zip(go_n.chunks_exact(plane)) {
+                dst[..plane].copy_from_slice(src);
+                dst[plane] = 0.0;
+            }
             let grad_in_n = &mut grad_input.data_mut()[n * c * in_pixels..(n + 1) * c * in_pixels];
             let mut flipped_at = 0;
             for phase in phases.iter() {
@@ -418,9 +427,12 @@ impl Layer for Conv2d {
                     .chunks_exact_mut(kc)
                     .zip(phase.gather.chunks_exact(ntaps))
                 {
-                    for (g_oc, go_oc) in g_row.chunks_exact_mut(ntaps).zip(go_n.chunks_exact(plane)) {
-                        for (g, &idx) in g_oc.iter_mut().zip(idx_row) {
-                            *g = if idx == NO_OUTPUT { 0.0 } else { go_oc[idx as usize] };
+                    for (g_oc, go_oc) in g_row
+                        .chunks_exact_mut(ntaps)
+                        .zip(go_padded.chunks_exact(plane + 1))
+                    {
+                        for (g, &slot) in g_oc.iter_mut().zip(idx_row) {
+                            *g = go_oc[slot as usize];
                         }
                     }
                 }

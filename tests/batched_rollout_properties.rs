@@ -8,8 +8,9 @@
 //!    identical to the serial per-episode-seeded reference for lane counts
 //!    {1, 3, 8}, over random policies, seeds and episode budgets;
 //! 2. **GEMM-vs-scalar-reference equality** — the im2col/GEMM inference
-//!    kernels produce bitwise-identical outputs to each layer's scalar
-//!    reference (`Layer::infer`) across odd shapes, strides and paddings.
+//!    kernels produce bitwise-identical outputs to a scalar reference (the
+//!    direct six-loop convolution; `Tensor::matmul` then the bias) across
+//!    odd shapes, strides and paddings.
 
 use berry_nn::gemm::GemmScratch;
 use berry_nn::layer::{Conv2d, Dense, Layer};
@@ -22,6 +23,58 @@ use berry_uav::env::{NavigationConfig, NavigationEnv};
 use berry_uav::world::{ObstacleDensity, WorldVariant};
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+/// The direct six-loop convolution: each output starts from its bias and
+/// adds its in-bounds taps in `(ic, kh, kw)` order.
+fn direct_conv(conv: &Conv2d, input: &Tensor) -> Tensor {
+    let (weight, bias) = (conv.params()[0].data(), conv.params()[1].data());
+    let s = input.shape();
+    let (batch, c, h, w) = (s[0], s[1], s[2], s[3]);
+    let (k, stride, pad) = (conv.kernel(), conv.stride(), conv.padding());
+    let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+    let oc_n = conv.out_channels();
+    let mut out = Tensor::zeros(&[batch, oc_n, oh, ow]);
+    let (x, o) = (input.data(), out.data_mut());
+    for n in 0..batch {
+        for oc in 0..oc_n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias[oc];
+                    for ic in 0..c {
+                        for kh in 0..k {
+                            let iy = (oy * stride + kh) as isize - pad as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kw in 0..k {
+                                let ix = (ox * stride + kw) as isize - pad as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                acc += x[((n * c + ic) * h + iy as usize) * w + ix as usize]
+                                    * weight[((oc * c + ic) * k + kh) * k + kw];
+                            }
+                        }
+                    }
+                    o[((n * oc_n + oc) * oh + oy) * ow + ox] = acc;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `Tensor::matmul` against the transposed weight (k ascending, zero
+/// activations skipped), then the bias added last.
+fn matmul_dense(dense: &Dense, input: &Tensor) -> Tensor {
+    let mut out = input.matmul(&dense.weight().transpose().unwrap()).unwrap();
+    for n in 0..input.shape()[0] {
+        for o in 0..dense.out_features() {
+            *out.at2_mut(n, o) += dense.bias().data()[o];
+        }
+    }
+    out
+}
 
 fn assert_stats_bitwise(a: &EvalStats, b: &EvalStats, label: &str) {
     assert_eq!(a.episodes, b.episodes, "{label}: episodes");
@@ -149,10 +202,11 @@ proptest! {
         let h = kernel + extra;
         let w = kernel + (extra % 3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let conv = Conv2d::new(in_c, out_c, kernel, stride, padding, &mut rng);
+        let mut conv = Conv2d::new(in_c, out_c, kernel, stride, padding, &mut rng);
+        let bias = Tensor::rand_uniform(&[out_c], -0.5, 0.5, &mut rng);
+        conv.params_mut()[1].data_mut().copy_from_slice(bias.data());
         let x = Tensor::rand_uniform(&[batch, in_c, h, w], -1.0, 1.0, &mut rng);
-        let mut scalar = Tensor::default();
-        conv.infer(&x, &mut scalar);
+        let scalar = direct_conv(&conv, &x);
         let mut gemmed = Tensor::default();
         let mut gemm = GemmScratch::new();
         conv.infer_with(&x, &mut gemmed, &mut gemm);
@@ -184,8 +238,7 @@ proptest! {
         for i in (0..x.len()).step_by(zero_stride) {
             x.data_mut()[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
-        let mut scalar = Tensor::default();
-        dense.infer(&x, &mut scalar);
+        let scalar = matmul_dense(&dense, &x);
         let mut gemmed = Tensor::default();
         let mut gemm = GemmScratch::new();
         dense.infer_with(&x, &mut gemmed, &mut gemm);
