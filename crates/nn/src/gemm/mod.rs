@@ -393,67 +393,6 @@ fn tile<const R: usize, const C: usize>(
     }
 }
 
-/// [`im2col`]'s transpose: unrolls one sample's `[c, h, w]` plane into
-/// the `[taps][pixels]` matrix
-/// `col_t[(ic·kernel + kh)·kernel + kw][oy·out_w + ox] = input[ic][iy][ix]`
-/// with `+0.0` in padding cells — the operand layout the convolution's
-/// weight-gradient GEMM contracts over pixels with.  Each tap row is
-/// filled with whole input-row runs instead of one tap at a time.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`im2col`].
-pub fn im2col_transposed(input: &[f32], shape: &Im2colShape, col_t: &mut [f32]) {
-    check_im2col(input, shape, col_t);
-    let Im2colShape {
-        channels,
-        height,
-        width,
-        kernel,
-        stride,
-        padding,
-        out_w,
-        ..
-    } = *shape;
-    let rows = shape.rows();
-    for ic in 0..channels {
-        let plane = &input[ic * height * width..(ic + 1) * height * width];
-        for kh in 0..kernel {
-            for kw in 0..kernel {
-                let tap = (ic * kernel + kh) * kernel + kw;
-                let dst = &mut col_t[tap * rows..(tap + 1) * rows];
-                // Output columns whose input column `ox·s + kw − p` lands
-                // inside `[0, width)`.
-                let ox_lo = padding.saturating_sub(kw).div_ceil(stride);
-                let ox_hi = if width + padding > kw {
-                    ((width + padding - kw - 1) / stride + 1).min(out_w)
-                } else {
-                    0
-                };
-                for (oy, out_row) in dst.chunks_exact_mut(out_w).enumerate() {
-                    let iy = (oy * stride + kh).checked_sub(padding).filter(|&iy| iy < height);
-                    let Some(iy) = iy.filter(|_| ox_lo < ox_hi) else {
-                        out_row.fill(0.0);
-                        continue;
-                    };
-                    let in_row = &plane[iy * width..(iy + 1) * width];
-                    out_row[..ox_lo].fill(0.0);
-                    out_row[ox_hi..].fill(0.0);
-                    let ix_lo = ox_lo * stride + kw - padding;
-                    let run = &mut out_row[ox_lo..ox_hi];
-                    if stride == 1 {
-                        run.copy_from_slice(&in_row[ix_lo..ix_lo + run.len()]);
-                    } else {
-                        for (v, &x) in run.iter_mut().zip(in_row[ix_lo..].iter().step_by(stride)) {
-                            *v = x;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Convenience used by tests and benches: the naive triple loop (one
 /// accumulator per output element, `k` ascending) the tiled kernel must
 /// agree with bitwise.
@@ -521,6 +460,9 @@ impl PackScratch {
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     col: Vec<f32>,
+    /// Zero-bordered copy of the plane being unrolled (see
+    /// [`GemmScratch::im2col_packs_precision`]).
+    padded: Vec<f32>,
     packs: PackScratch,
     precision: Precision,
 }
@@ -569,6 +511,100 @@ impl GemmScratch {
             self.col.resize(len, 0.0);
         }
         (&mut self.col[..len], &mut self.packs, self.precision)
+    }
+
+    /// Unrolls one sample's `[c, h, w]` plane into the scratch's patch
+    /// buffer and returns the patch matrix with the packing panels and the
+    /// tier — what the convolution hands to [`gemm_nt_with`].
+    ///
+    /// The patch matrix is bitwise [`im2col`]'s.  The plane is first copied
+    /// into a zero-bordered buffer, so every tap is in bounds and each
+    /// `(ic, kh)` run of a patch row is one `kernel`-long copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`im2col`].
+    pub fn im2col_packs_precision(
+        &mut self,
+        input: &[f32],
+        shape: &Im2colShape,
+    ) -> (&[f32], &mut PackScratch, Precision) {
+        let len = self.pad_plane(input, shape);
+        let col = &mut self.col[..len];
+        // The policy networks' kernels are all 3×3: a constant length
+        // lets every run compile to plain moves.
+        match shape.kernel {
+            3 => im2col_from_padded(&self.padded, shape, 3, col),
+            kernel => im2col_from_padded(&self.padded, shape, kernel, col),
+        }
+        (col, &mut self.packs, self.precision)
+    }
+
+    /// [`im2col`]'s transpose into the scratch's patch buffer: the
+    /// `[taps][pixels]` matrix
+    /// `col_t[(ic·kernel + kh)·kernel + kw][oy·out_w + ox] = input[ic][iy][ix]`
+    /// (`+0.0` in padding cells) — the operand the convolution's
+    /// weight-gradient GEMM contracts over pixels with.  Built from the
+    /// same zero-bordered plane as
+    /// [`GemmScratch::im2col_packs_precision`].
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`im2col`].
+    pub fn im2col_transposed(&mut self, input: &[f32], shape: &Im2colShape) -> &[f32] {
+        let len = self.pad_plane(input, shape);
+        let col_t = &mut self.col[..len];
+        let (ph, pw) = (
+            shape.height + 2 * shape.padding,
+            shape.width + 2 * shape.padding,
+        );
+        let (k, stride) = (shape.kernel, shape.stride);
+        let span = (shape.out_w - 1) * stride + 1;
+        for (tap, tap_row) in col_t.chunks_exact_mut(shape.rows()).enumerate() {
+            let (ic, kh, kw) = (tap / (k * k), tap / k % k, tap % k);
+            for (oy, out_row) in tap_row.chunks_exact_mut(shape.out_w).enumerate() {
+                let at = ic * ph * pw + (oy * stride + kh) * pw + kw;
+                let in_row = &self.padded[at..at + span];
+                for (ox, v) in out_row.iter_mut().enumerate() {
+                    *v = in_row[ox * stride];
+                }
+            }
+        }
+        col_t
+    }
+
+    /// Copies one `[c, h, w]` plane into the zero-bordered
+    /// `[c, h + 2p, w + 2p]` buffer, grows the patch buffer to the shape's
+    /// patch matrix, and returns the patch matrix's length.
+    fn pad_plane(&mut self, input: &[f32], shape: &Im2colShape) -> usize {
+        let len = shape.rows() * shape.cols();
+        if self.col.len() < len {
+            self.col.resize(len, 0.0);
+        }
+        check_im2col(input, shape, &self.col[..len]);
+        let Im2colShape {
+            channels,
+            height,
+            width,
+            padding,
+            ..
+        } = *shape;
+        let (ph, pw) = (height + 2 * padding, width + 2 * padding);
+        self.padded.clear();
+        self.padded.resize(channels * ph * pw, 0.0);
+        for (dst, src) in self
+            .padded
+            .chunks_exact_mut(ph * pw)
+            .zip(input.chunks_exact(height * width))
+        {
+            for (dst_row, src_row) in dst[padding * pw..]
+                .chunks_exact_mut(pw)
+                .zip(src.chunks_exact(width))
+            {
+                dst_row[padding..padding + width].copy_from_slice(src_row);
+            }
+        }
+        len
     }
 
     /// The packing panels and tier without the patch buffer — what the
@@ -747,6 +783,27 @@ pub fn im2col(input: &[f32], shape: &Im2colShape, col: &mut [f32]) {
     }
 }
 
+/// [`im2col`] from a zero-bordered `[c, h + 2p, w + 2p]` plane, where
+/// every tap is in bounds.
+#[inline(always)]
+fn im2col_from_padded(padded: &[f32], shape: &Im2colShape, kernel: usize, col: &mut [f32]) {
+    let (ph, pw) = (
+        shape.height + 2 * shape.padding,
+        shape.width + 2 * shape.padding,
+    );
+    let stride = shape.stride;
+    let rows = col.chunks_exact_mut(shape.cols());
+    for (p, row) in rows.enumerate() {
+        let (oy, ox) = (p / shape.out_w, p % shape.out_w);
+        for (ic, taps) in row.chunks_exact_mut(kernel * kernel).enumerate() {
+            let corner = ic * ph * pw + oy * stride * pw + ox * stride;
+            for (kh, run) in taps.chunks_exact_mut(kernel).enumerate() {
+                run.copy_from_slice(&padded[corner + kh * pw..corner + kh * pw + kernel]);
+            }
+        }
+    }
+}
+
 /// FLOP count of one `gemm_nt` call (a multiply and an add per `(i, j, p)`
 /// triple), used by the throughput reports.
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
@@ -858,7 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn im2col_transposed_is_the_transpose_of_im2col() {
+    fn im2col_variants_match_im2col_bitwise() {
         let mut r = rng(3);
         // (channels, h, w, kernel, stride, padding) — strides 1–3, padding
         // wider than the kernel reach, kernels larger than the input.
@@ -885,8 +942,14 @@ mod tests {
             let (rows, cols) = (shape.rows(), shape.cols());
             let mut col = vec![0.0f32; rows * cols];
             im2col(&input, &shape, &mut col);
-            let mut col_t = vec![f32::NAN; rows * cols];
-            im2col_transposed(&input, &shape, &mut col_t);
+            let mut scratch = GemmScratch::new();
+            // Stale contents from a larger shape must not leak through.
+            scratch.col_buffer(4 * rows * cols + 64).fill(f32::NAN);
+            let (padded_col, _, _) = scratch.im2col_packs_precision(&input, &shape);
+            let padded_bits: Vec<u32> = padded_col.iter().map(|v| v.to_bits()).collect();
+            let col_bits: Vec<u32> = col.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(padded_bits, col_bits, "{shape:?}: zero-bordered im2col");
+            let col_t = scratch.im2col_transposed(&input, &shape);
             for pix in 0..rows {
                 for tap in 0..cols {
                     assert_eq!(

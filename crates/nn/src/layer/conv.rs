@@ -2,7 +2,7 @@
 
 use super::Layer;
 use crate::gemm::{
-    gemm_nt, gemm_nt_with, im2col, im2col_transposed, BiasMode, GemmScratch, Im2colShape,
+    gemm_nt, gemm_nt_with, BiasMode, GemmScratch, Im2colShape,
 };
 use crate::init;
 use crate::tensor::Tensor;
@@ -55,10 +55,9 @@ pub struct Conv2d {
 /// snapshots) starts the clone with empty buffers.
 #[derive(Debug, Default)]
 struct TrainScratch {
-    /// The forward pass's im2col buffer (always at the Reference tier).
+    /// One sample's im2col patch matrix (transposed in backward); always
+    /// at the Reference tier.
     gemm: GemmScratch,
-    /// One sample's transposed patch matrix, `[tap][pixel]`.
-    col_t: Vec<f32>,
     /// The input pixels grouped by stride phase; depends only on the
     /// input extent.
     phases: Vec<StridePhase>,
@@ -303,7 +302,7 @@ impl Layer for Conv2d {
         let out_data = out.data_mut();
         let w_data = self.weight.data();
         let bias = self.bias.data();
-        let (col, packs, precision) = gemm.col_packs_precision(rows * taps);
+
         // im2col + GEMM lowering: out[n][oc][p] = bias[oc] + w_row(oc)·col_row(p).
         // Patch columns follow the (ic, kh, kw) tap order.  At the default
         // Reference tier the GEMM accumulates them ascending, so every
@@ -314,7 +313,7 @@ impl Layer for Conv2d {
         // setting and trades that bitwise identity for SIMD throughput.
         for n in 0..batch {
             let plane = &in_data[n * c * h * w..(n + 1) * c * h * w];
-            im2col(plane, &shape, col);
+            let (col, packs, precision) = gemm.im2col_packs_precision(plane, &shape);
             let out_block =
                 &mut out_data[n * self.out_channels * rows..(n + 1) * self.out_channels * rows];
             gemm_nt_with(
@@ -386,13 +385,10 @@ impl Layer for Conv2d {
             let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
 
             // dW += goₙ · colₙ, contracting over the pixel index of colₙᵀ.
-            let col_t = &mut self.scratch.col_t;
-            col_t.resize(taps * plane, 0.0);
-            im2col_transposed(
-                &input.data()[n * c * in_pixels..(n + 1) * c * in_pixels],
-                &shape,
-                col_t,
-            );
+            let col_t = self
+                .scratch
+                .gemm
+                .im2col_transposed(&input.data()[n * c * in_pixels..(n + 1) * c * in_pixels], &shape);
             gemm_nt(
                 oc_n,
                 taps,
