@@ -268,6 +268,130 @@ impl Conv2d {
     }
 }
 
+impl Conv2d {
+    /// The body of [`Layer::backward`]: accumulates dW and the bias
+    /// gradient, and writes dX into `grad_input` (a `+0.0`-filled tensor of
+    /// the input's shape) when one is given.
+    fn accumulate_gradients(&mut self, grad_output: &Tensor, mut grad_input: Option<&mut Tensor>) {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward called before forward on Conv2d");
+        let (batch, c, h, w) = (
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        );
+        let shape = self.im2col_shape(h, w);
+        let (oc_n, plane) = (self.out_channels, shape.rows());
+        assert_eq!(
+            grad_output.shape(),
+            &[batch, oc_n, shape.out_h, shape.out_w],
+            "Conv2d gradient shape mismatch"
+        );
+        if grad_input.is_some() {
+            self.prepare_input_gradient(&shape);
+        }
+        let taps = shape.cols();
+        let in_pixels = h * w;
+        let go_data = grad_output.data();
+
+        for n in 0..batch {
+            let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
+
+            // dW += goₙ · colₙ, contracting over the pixel index of colₙᵀ.
+            let col_t = self
+                .scratch
+                .gemm
+                .im2col_transposed(&input.data()[n * c * in_pixels..(n + 1) * c * in_pixels], &shape);
+            gemm_nt(
+                oc_n,
+                taps,
+                plane,
+                go_n,
+                col_t,
+                BiasMode::Accumulate,
+                self.grad_weight.data_mut(),
+            );
+
+            if let Some(grad_input) = grad_input.as_deref_mut() {
+                let grad_in_n = &mut grad_input.data_mut()[n * c * in_pixels..(n + 1) * c * in_pixels];
+                self.input_gradient(go_n, plane, grad_in_n);
+            }
+        }
+
+        let grad_bias = self.grad_bias.data_mut();
+        for go_n in go_data.chunks_exact(oc_n * plane) {
+            for (gb, go_oc) in grad_bias.iter_mut().zip(go_n.chunks_exact(plane)) {
+                for &go in go_oc {
+                    *gb += go;
+                }
+            }
+        }
+        self.cached_input = Some(input);
+    }
+
+    /// One sample's `dXₙ = Wf · Gₙᵀ`, one GEMM per stride phase, written
+    /// into `grad_in_n` (`[c][h·w]`).  Needs [`Conv2d::prepare_input_gradient`]
+    /// for the current weights and input extent.
+    fn input_gradient(&mut self, go_n: &[f32], plane: usize, grad_in_n: &mut [f32]) {
+        let (c, oc_n) = (self.in_channels, self.out_channels);
+        let in_pixels = grad_in_n.len() / c;
+        let TrainScratch {
+            phases,
+            flipped,
+            go_padded,
+            gathered,
+            dx_block,
+            ..
+        } = &mut self.scratch;
+        go_padded.resize(oc_n * (plane + 1), 0.0);
+        for (dst, src) in go_padded.chunks_exact_mut(plane + 1).zip(go_n.chunks_exact(plane)) {
+            dst[..plane].copy_from_slice(src);
+            dst[plane] = 0.0;
+        }
+        let mut flipped_at = 0;
+        for phase in phases.iter() {
+            let (npix, ntaps) = (phase.pixels.len(), phase.taps.len());
+            let kc = oc_n * ntaps;
+            gathered.resize(npix * kc, 0.0);
+            for (g_row, idx_row) in gathered
+                .chunks_exact_mut(kc)
+                .zip(phase.gather.chunks_exact(ntaps))
+            {
+                for (g_oc, go_oc) in g_row
+                    .chunks_exact_mut(ntaps)
+                    .zip(go_padded.chunks_exact(plane + 1))
+                {
+                    for (g, &slot) in g_oc.iter_mut().zip(idx_row) {
+                        *g = go_oc[slot as usize];
+                    }
+                }
+            }
+            dx_block.resize(c * npix, 0.0);
+            gemm_nt(
+                c,
+                npix,
+                kc,
+                &flipped[flipped_at..flipped_at + c * kc],
+                gathered,
+                BiasMode::None,
+                dx_block,
+            );
+            flipped_at += c * kc;
+            for (dst, src) in grad_in_n
+                .chunks_exact_mut(in_pixels)
+                .zip(dx_block.chunks_exact(npix))
+            {
+                for (&pix, &v) in phase.pixels.iter().zip(src) {
+                    dst[pix as usize] = v;
+                }
+            }
+        }
+    }
+}
+
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
@@ -358,112 +482,18 @@ impl Layer for Conv2d {
     /// not `−0.0` leaves its bits unchanged — so including those terms
     /// cannot change a bit.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called before forward on Conv2d");
-        let (batch, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
+        let mut grad_input = Tensor::zeros(
+            self.cached_input
+                .as_ref()
+                .expect("backward called before forward on Conv2d")
+                .shape(),
         );
-        let shape = self.im2col_shape(h, w);
-        let (oc_n, plane) = (self.out_channels, shape.rows());
-        assert_eq!(
-            grad_output.shape(),
-            &[batch, oc_n, shape.out_h, shape.out_w],
-            "Conv2d gradient shape mismatch"
-        );
-        self.prepare_input_gradient(&shape);
-        let taps = shape.cols();
-        let in_pixels = h * w;
-        let mut grad_input = Tensor::zeros(&[batch, c, h, w]);
-        let go_data = grad_output.data();
-
-        for n in 0..batch {
-            let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
-
-            // dW += goₙ · colₙ, contracting over the pixel index of colₙᵀ.
-            let col_t = self
-                .scratch
-                .gemm
-                .im2col_transposed(&input.data()[n * c * in_pixels..(n + 1) * c * in_pixels], &shape);
-            gemm_nt(
-                oc_n,
-                taps,
-                plane,
-                go_n,
-                col_t,
-                BiasMode::Accumulate,
-                self.grad_weight.data_mut(),
-            );
-
-            // dXₙ = Wf · Gₙᵀ, one GEMM per stride phase.
-            let TrainScratch {
-                phases,
-                flipped,
-                go_padded,
-                gathered,
-                dx_block,
-                ..
-            } = &mut self.scratch;
-            go_padded.resize(oc_n * (plane + 1), 0.0);
-            for (dst, src) in go_padded.chunks_exact_mut(plane + 1).zip(go_n.chunks_exact(plane)) {
-                dst[..plane].copy_from_slice(src);
-                dst[plane] = 0.0;
-            }
-            let grad_in_n = &mut grad_input.data_mut()[n * c * in_pixels..(n + 1) * c * in_pixels];
-            let mut flipped_at = 0;
-            for phase in phases.iter() {
-                let (npix, ntaps) = (phase.pixels.len(), phase.taps.len());
-                let kc = oc_n * ntaps;
-                gathered.resize(npix * kc, 0.0);
-                for (g_row, idx_row) in gathered
-                    .chunks_exact_mut(kc)
-                    .zip(phase.gather.chunks_exact(ntaps))
-                {
-                    for (g_oc, go_oc) in g_row
-                        .chunks_exact_mut(ntaps)
-                        .zip(go_padded.chunks_exact(plane + 1))
-                    {
-                        for (g, &slot) in g_oc.iter_mut().zip(idx_row) {
-                            *g = go_oc[slot as usize];
-                        }
-                    }
-                }
-                dx_block.resize(c * npix, 0.0);
-                gemm_nt(
-                    c,
-                    npix,
-                    kc,
-                    &flipped[flipped_at..flipped_at + c * kc],
-                    gathered,
-                    BiasMode::None,
-                    dx_block,
-                );
-                flipped_at += c * kc;
-                for (dst, src) in grad_in_n
-                    .chunks_exact_mut(in_pixels)
-                    .zip(dx_block.chunks_exact(npix))
-                {
-                    for (&pix, &v) in phase.pixels.iter().zip(src) {
-                        dst[pix as usize] = v;
-                    }
-                }
-            }
-        }
-
-        let grad_bias = self.grad_bias.data_mut();
-        for go_n in go_data.chunks_exact(oc_n * plane) {
-            for (gb, go_oc) in grad_bias.iter_mut().zip(go_n.chunks_exact(plane)) {
-                for &go in go_oc {
-                    *gb += go;
-                }
-            }
-        }
-        self.cached_input = Some(input);
+        self.accumulate_gradients(grad_output, Some(&mut grad_input));
         grad_input
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.accumulate_gradients(grad_output, None);
     }
 
     fn params(&self) -> Vec<&Tensor> {

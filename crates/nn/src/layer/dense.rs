@@ -110,6 +110,35 @@ impl Dense {
     }
 }
 
+impl Dense {
+    /// The parameter half of [`Layer::backward`]: `grad_w += dyᵀ · x` and
+    /// `grad_b +=` the column sums of `dy`.
+    fn accumulate_gradients(&mut self, grad_output: &Tensor) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward on Dense");
+        assert_eq!(grad_output.rank(), 2, "Dense gradient must be rank 2");
+        assert_eq!(grad_output.shape()[0], input.shape()[0]);
+        assert_eq!(grad_output.shape()[1], self.out_features);
+
+        // grad_w += dyᵀ · x   ([out, batch] x [batch, in] -> [out, in])
+        let dyt = grad_output.transpose().expect("rank 2");
+        let gw = dyt.matmul(input).expect("checked dims");
+        self.grad_weight
+            .add_scaled(&gw, 1.0)
+            .expect("gradient shapes match");
+
+        // grad_b += column sums of dy
+        let batch = grad_output.shape()[0];
+        for n in 0..batch {
+            for o in 0..self.out_features {
+                self.grad_bias.data_mut()[o] += grad_output.at2(n, o);
+            }
+        }
+    }
+}
+
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
@@ -157,31 +186,13 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward on Dense");
-        assert_eq!(grad_output.rank(), 2, "Dense gradient must be rank 2");
-        assert_eq!(grad_output.shape()[0], input.shape()[0]);
-        assert_eq!(grad_output.shape()[1], self.out_features);
-
-        // grad_w += dyᵀ · x   ([out, batch] x [batch, in] -> [out, in])
-        let dyt = grad_output.transpose().expect("rank 2");
-        let gw = dyt.matmul(input).expect("checked dims");
-        self.grad_weight
-            .add_scaled(&gw, 1.0)
-            .expect("gradient shapes match");
-
-        // grad_b += column sums of dy
-        let batch = grad_output.shape()[0];
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                self.grad_bias.data_mut()[o] += grad_output.at2(n, o);
-            }
-        }
-
+        self.accumulate_gradients(grad_output);
         // dx = dy · W   ([batch, out] x [out, in] -> [batch, in])
         grad_output.matmul(&self.weight).expect("checked dims")
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.accumulate_gradients(grad_output);
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -74,6 +74,19 @@ pub trait Layer: Send + Sync {
     /// Implementations may panic if called before any forward pass.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] without the gradient with respect to the layer
+    /// input: accumulates the same parameter gradients, bit for bit.  A
+    /// network's first layer runs this in a training step
+    /// ([`crate::network::Sequential::backward_params`]), since nothing
+    /// reads the gradient of the network input.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before any forward pass.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        drop(self.backward(grad_output));
+    }
+
     /// Borrowed views of the layer's trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 

@@ -239,6 +239,25 @@ impl Sequential {
         g
     }
 
+    /// [`Sequential::backward`] for a training step: accumulates every
+    /// layer's parameter gradients with the same bits, but skips the
+    /// gradient with respect to the network input, which the step never
+    /// reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Sequential::forward`].
+    pub fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_output));
+    }
+
     /// Resets every layer's accumulated gradients to zero.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
@@ -570,6 +589,33 @@ mod tests {
         let y = net.forward(&x);
         let g = net.backward(&Tensor::ones(y.shape()));
         assert_eq!(g.shape(), x.shape());
+    }
+
+    #[test]
+    fn backward_params_matches_backward_gradients_bitwise() {
+        let mut r = rng(12);
+        let mut conv_net = Sequential::new();
+        conv_net.push(Conv2d::new(2, 4, 3, 2, 1, &mut r));
+        conv_net.push(Relu::new());
+        conv_net.push(Flatten::new());
+        conv_net.push(Dense::new(4 * 3 * 3, 3, &mut r));
+        let conv_x = Tensor::rand_uniform(&[3, 2, 5, 5], -1.0, 1.0, &mut r);
+        let mlp_x = Tensor::rand_uniform(&[4, 3], -1.0, 1.0, &mut r);
+        for (mut full, x) in [(conv_net, conv_x), (small_mlp(13), mlp_x)] {
+            let mut params_only = full.clone();
+            // Two passes without zero_grad: the gradients accumulate.
+            for _ in 0..2 {
+                let y = full.forward(&x);
+                let go = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut r);
+                full.backward(&go);
+                params_only.forward(&x);
+                params_only.backward_params(&go);
+            }
+            for (a, b) in full.grads().iter().zip(params_only.grads()) {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b));
+            }
+        }
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub fn accumulate_td_gradients(
     }
 
     let (loss, grad) = masked_mse_loss(&pred, &target, &mask);
-    q_net.backward(&grad);
+    q_net.backward_params(&grad);
     Ok(loss)
 }
 
