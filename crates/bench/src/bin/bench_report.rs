@@ -473,7 +473,8 @@ fn median_ms<F: FnMut()>(mut f: F) -> f64 {
 /// the Quick `DqnConfig` on an ε = 1 Quick replay.
 fn training_ms() -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
-    let mut env = NavigationEnv::new(ExperimentScale::Quick.navigation_config(ObstacleDensity::Medium))?;
+    let mut env =
+        NavigationEnv::new(ExperimentScale::Quick.navigation_config(ObstacleDensity::Medium))?;
     let shape = env.observation_shape();
     let actions = env.num_actions();
     let mut batched = vec![32usize];

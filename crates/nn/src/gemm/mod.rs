@@ -502,17 +502,6 @@ impl GemmScratch {
         &mut self.col[..len]
     }
 
-    /// Splits the scratch into the im2col patch buffer (at least `len`
-    /// elements), the packing panels, and the tier — the disjoint borrows
-    /// the convolution path needs to im2col into `col` while handing the
-    /// panels to [`gemm_nt_with`].
-    pub fn col_packs_precision(&mut self, len: usize) -> (&mut [f32], &mut PackScratch, Precision) {
-        if self.col.len() < len {
-            self.col.resize(len, 0.0);
-        }
-        (&mut self.col[..len], &mut self.packs, self.precision)
-    }
-
     /// Unrolls one sample's `[c, h, w]` plane into the scratch's patch
     /// buffer and returns the patch matrix with the packing panels and the
     /// tier — what the convolution hands to [`gemm_nt_with`].
@@ -1165,7 +1154,17 @@ mod tests {
         assert_eq!(scratch.precision(), Precision::Reference);
         scratch.set_precision(Precision::Fast);
         assert_eq!(scratch.precision(), Precision::Fast);
-        let (col, _packs, precision) = scratch.col_packs_precision(12);
+        let shape = Im2colShape {
+            channels: 1,
+            height: 3,
+            width: 4,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            out_h: 3,
+            out_w: 4,
+        };
+        let (col, _packs, precision) = scratch.im2col_packs_precision(&[0.5; 12], &shape);
         assert_eq!(col.len(), 12);
         assert_eq!(precision, Precision::Fast);
         let fast = GemmScratch::with_precision(Precision::Fast);

@@ -1,9 +1,7 @@
 //! 2-D convolution layer, lowered onto the shared im2col/GEMM core.
 
 use super::Layer;
-use crate::gemm::{
-    gemm_nt, gemm_nt_with, BiasMode, GemmScratch, Im2colShape,
-};
+use crate::gemm::{gemm_nt, gemm_nt_with, BiasMode, GemmScratch, Im2colShape};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -228,7 +226,9 @@ impl Conv2d {
                                 let oy = (iy + p).checked_sub(kh).map(|v| v / s);
                                 let ox = (ix + p).checked_sub(kw).map(|v| v / s);
                                 let slot = match (oy, ox) {
-                                    (Some(oy), Some(ox)) if oy < shape.out_h && ox < shape.out_w => {
+                                    (Some(oy), Some(ox))
+                                        if oy < shape.out_h && ox < shape.out_w =>
+                                    {
                                         oy * shape.out_w + ox
                                     }
                                     _ => shape.rows(),
@@ -266,13 +266,15 @@ impl Conv2d {
             }
         }
     }
-}
 
-impl Conv2d {
     /// The body of [`Layer::backward`]: accumulates dW and the bias
     /// gradient, and writes dX into `grad_input` (a `+0.0`-filled tensor of
     /// the input's shape) when one is given.
-    fn accumulate_gradients(&mut self, grad_output: &Tensor, mut grad_input: Option<&mut Tensor>) {
+    fn accumulate_gradients(
+        &mut self,
+        grad_output: &Tensor,
+        mut grad_input: Option<&mut Tensor>,
+    ) {
         let input = self
             .cached_input
             .take()
@@ -299,12 +301,13 @@ impl Conv2d {
 
         for n in 0..batch {
             let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
+            let sample = n * c * in_pixels..(n + 1) * c * in_pixels;
 
             // dW += goₙ · colₙ, contracting over the pixel index of colₙᵀ.
             let col_t = self
                 .scratch
                 .gemm
-                .im2col_transposed(&input.data()[n * c * in_pixels..(n + 1) * c * in_pixels], &shape);
+                .im2col_transposed(&input.data()[sample.clone()], &shape);
             gemm_nt(
                 oc_n,
                 taps,
@@ -316,8 +319,7 @@ impl Conv2d {
             );
 
             if let Some(grad_input) = grad_input.as_deref_mut() {
-                let grad_in_n = &mut grad_input.data_mut()[n * c * in_pixels..(n + 1) * c * in_pixels];
-                self.input_gradient(go_n, plane, grad_in_n);
+                self.input_gradient(go_n, plane, &mut grad_input.data_mut()[sample]);
             }
         }
 

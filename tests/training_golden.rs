@@ -45,7 +45,9 @@ fn replay(rng: &mut StdRng) -> (ReplayBuffer, NavigationEnv) {
     let mut env =
         NavigationEnv::new(ExperimentScale::Quick.navigation_config(ObstacleDensity::Medium))
             .unwrap();
-    let max_steps = ExperimentScale::Quick.trainer_config().max_steps_per_episode;
+    let max_steps = ExperimentScale::Quick
+        .trainer_config()
+        .max_steps_per_episode;
     let mut buffer = ReplayBuffer::new(REPLAY).unwrap();
     while buffer.len() < REPLAY {
         let mut obs = env.reset(rng);
@@ -75,8 +77,14 @@ fn trained_digest(spec: QNetworkSpec, update: Update) -> u64 {
     let mut rng = StdRng::seed_from_u64(SEED);
     let (buffer, env) = replay(&mut rng);
     let dqn = ExperimentScale::Quick.trainer_config().dqn;
-    let mut agent =
-        DqnAgent::new(&spec, &env.observation_shape(), env.num_actions(), dqn, &mut rng).unwrap();
+    let mut agent = DqnAgent::new(
+        &spec,
+        &env.observation_shape(),
+        env.num_actions(),
+        dqn,
+        &mut rng,
+    )
+    .unwrap();
     let perturber = NetworkPerturber::new(8).unwrap();
     let chip = ChipProfile::generic();
     let mut scratch = DualPassScratch::new();
@@ -88,9 +96,14 @@ fn trained_digest(spec: QNetworkSpec, update: Update) -> u64 {
                 let map = perturber
                     .sample_fault_map(agent.q_net(), &chip, TRAIN_BER, &mut rng)
                     .unwrap();
-                let (clean, perturbed) =
-                    berry_update_step_with_scratch(&mut agent, &batch, &perturber, &map, &mut scratch)
-                        .unwrap();
+                let (clean, perturbed) = berry_update_step_with_scratch(
+                    &mut agent,
+                    &batch,
+                    &perturber,
+                    &map,
+                    &mut scratch,
+                )
+                .unwrap();
                 assert!(perturbed.is_finite());
                 clean
             }
