@@ -108,9 +108,7 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
-}
 
-impl Dense {
     /// The parameter half of [`Layer::backward`]: `grad_w += dyᵀ · x` and
     /// `grad_b +=` the column sums of `dy`.
     fn accumulate_gradients(&mut self, grad_output: &Tensor) {
