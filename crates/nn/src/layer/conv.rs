@@ -704,7 +704,8 @@ mod tests {
         let mut r = rng();
         let mut gemm = GemmScratch::new();
         // (in_c, out_c, kernel, stride, padding, h, w, batch) — odd sizes,
-        // stride 1/2/3, padding 0..=2, kernels larger than the input.
+        // stride 1/2/3, padding 0..=2 (also wider than the kernel), kernels
+        // larger than the input and smaller than the stride.
         for &(ic, oc, k, s, p, h, w, batch) in &[
             (1usize, 1usize, 1usize, 1usize, 0usize, 1usize, 1usize, 1usize),
             (2, 3, 3, 1, 1, 9, 9, 2),
@@ -714,6 +715,7 @@ mod tests {
             (1, 7, 3, 2, 2, 4, 4, 2),
             (2, 2, 5, 1, 2, 3, 3, 1),
             (3, 4, 2, 3, 1, 8, 6, 2),
+            (2, 3, 1, 2, 2, 5, 4, 2),
         ] {
             let at = format!("({ic},{oc},{k},{s},{p},{h},{w},{batch})");
             let mut conv = Conv2d::new(ic, oc, k, s, p, &mut r);
