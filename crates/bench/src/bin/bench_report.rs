@@ -22,6 +22,11 @@
 //!   (`DqnAgent::train_on_batch`) and one BERRY dual-pass update
 //!   (`berry_update_step_with_scratch`) on an ε = 1 Quick replay — the
 //!   calls that make up nearly all of a Quick campaign's wall-clock;
+//! * **Reference kernels** — GFLOP/s of the Reference tier's two GEMM
+//!   kernels on the per-sample conv2/conv3 training shapes of C3F2: the
+//!   scalar register tile (`gemm_nt`) and the lanes-across-outputs kernel
+//!   (`gemm_kn`) on the detected backend and on its portable fallback
+//!   (same products, same bits), plus C3F2 `infer_into` at batch 1 and 8;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
 //!   once under the legacy contiguous partition and once under the
@@ -42,7 +47,10 @@ use berry_core::perturb::NetworkPerturber;
 use berry_core::robust::{berry_update_step_with_scratch, DualPassScratch};
 use berry_core::{CampaignRow, PolicyStore, Scenario};
 use berry_faults::chip::ChipProfile;
-use berry_nn::gemm::{gemm_flops, gemm_nt_with, im2col, BiasMode, GemmScratch, Im2colShape, Precision};
+use berry_nn::gemm::{
+    detected_fast_backend, gemm_flops, gemm_kn_with_backend, gemm_nt, gemm_nt_with, im2col,
+    BiasMode, FastBackend, GemmScratch, Im2colShape, Precision, StridedA,
+};
 use berry_nn::layer::{Conv2d, Dense, Layer};
 use berry_nn::network::InferScratch;
 use berry_nn::tensor::Tensor;
@@ -63,7 +71,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 13;
+const PR: u32 = 14;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -350,6 +358,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let _ = writeln!(json, "  }},");
 
+    // --- Reference tier: scalar tile vs lanes-across-outputs kernel. ---
+    let _ = writeln!(json, "  \"reference_kernels\": {{");
+    let _ = writeln!(json, "    \"backend\": \"{}\",", detected_fast_backend().name());
+    for (name, gflops) in reference_kernel_gflops() {
+        println!("kernels  {name:<32} {gflops:>7.2} GFLOP/s");
+        let _ = writeln!(json, "    \"{name}\": {gflops:.3},");
+    }
+    let mut infer_scratch = InferScratch::new();
+    let mut infer_rows = Vec::new();
+    for batch in [1usize, 8] {
+        let mut dims = vec![batch];
+        dims.extend_from_slice(&env.observation_shape());
+        let x = Tensor::rand_uniform(&dims, 0.0, 1.0, &mut rng);
+        let ms = median_ms(|| {
+            for _ in 0..100 {
+                std::hint::black_box(policy.infer_into(&x, &mut infer_scratch));
+            }
+        });
+        infer_rows.push((format!("c3f2_infer_b{batch}_us"), ms * 10.0));
+    }
+    for (i, (name, us)) in infer_rows.iter().enumerate() {
+        let comma = if i + 1 == infer_rows.len() { "" } else { "," };
+        println!("kernels  {name:<32} {us:>7.2} µs");
+        let _ = writeln!(json, "    \"{name}\": {us:.2}{comma}");
+    }
+    let _ = writeln!(json, "  }},");
+
     // --- Scheduler: contiguous vs work-stealing on a skewed grid. ---
     // One serial reference run trains every pair into a shared in-memory
     // store; the timed runs then evaluate against the warm cache, so the
@@ -549,6 +584,44 @@ fn training_ms() -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>>
     rows.push(("c3f2_classical_update_ms", classical_ms));
     rows.push(("c3f2_berry_update_ms", berry_ms));
     Ok(rows)
+}
+
+/// GFLOP/s of the Reference tier's kernels on one sample's C3F2 conv2 and
+/// conv3 training GEMMs: `_scalar_tile` is `gemm_nt` over the NT operands,
+/// `_lanes` and `_lanes_portable` are `gemm_kn` over the same products in
+/// k-major form on the detected backend and on the portable fallback.
+fn reference_kernel_gflops() -> Vec<(String, f64)> {
+    let mut r = StdRng::seed_from_u64(19);
+    let mut rows = Vec::new();
+    // (name, m, n, k) of forward (oc × pixels × taps), dW (oc × taps ×
+    // pixels) and dX (in-channels × pixels × oc·taps per stride phase).
+    for (name, m, n, k) in [
+        ("c3f2_conv2_forward", 16usize, 25usize, 72usize),
+        ("c3f2_conv2_dw", 16, 72, 25),
+        ("c3f2_conv3_forward", 16, 25, 144),
+        ("c3f2_conv3_dw", 16, 144, 25),
+        ("c3f2_conv3_dx", 16, 25, 144),
+    ] {
+        let a = Tensor::rand_uniform(&[m * k], -1.0, 1.0, &mut r);
+        let b_kn = Tensor::rand_uniform(&[k * n], -1.0, 1.0, &mut r);
+        let b_nt: Vec<f32> = (0..n * k).map(|at| b_kn.data()[(at % k) * n + at / k]).collect();
+        let mut c = vec![0.0f32; m * n];
+        let flops = gemm_flops(m, n, k);
+        let tile = time_gflops(|| gemm_nt(m, n, k, a.data(), &b_nt, BiasMode::None, &mut c), flops);
+        let mut lanes = |backend: FastBackend| {
+            let view = StridedA::row_major(a.data(), k);
+            time_gflops(
+                || gemm_kn_with_backend(m, n, k, view, b_kn.data(), BiasMode::None, &mut c, backend),
+                flops,
+            )
+        };
+        let simd = lanes(detected_fast_backend());
+        let portable = lanes(FastBackend::Scalar);
+        rows.push((format!("{name}_scalar_tile"), tile));
+        rows.push((format!("{name}_lanes"), simd));
+        rows.push((format!("{name}_lanes_portable"), portable));
+    }
+    rows
 }
 
 /// Runs `f` repeatedly in three ≥ ~0.1 s windows (after one warm-up

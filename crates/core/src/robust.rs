@@ -156,15 +156,18 @@ pub struct BerryOutcome {
 /// quantize-once [`PerturbContext`] (plus its scratch network) per network
 /// being perturbed.
 ///
-/// The trainer's weights change between optimizer steps, so each step still
-/// pays one re-quantization per network — but through
-/// [`PerturbContext::refresh`] the byte images, scratch `Sequential`s and
-/// activation buffers are all reused instead of being reallocated on every
-/// one of the run's thousands of updates.
+/// The Q-network's weights change on every optimizer step, so each step
+/// re-quantizes it — through [`PerturbContext::refresh`], which reuses the
+/// byte images, scratch `Sequential`s and activation buffers instead of
+/// reallocating them on every one of the run's thousands of updates.  The
+/// target network changes only when it is synchronized, so its image is
+/// re-quantized only when [`DqnAgent::target_generation`] moved.
 #[derive(Debug, Default)]
 pub struct DualPassScratch {
     q: Option<(PerturbContext, PerturbScratch)>,
     target: Option<(PerturbContext, PerturbScratch)>,
+    /// The target generation the target slot's image was quantized from.
+    target_generation: Option<u64>,
 }
 
 impl DualPassScratch {
@@ -173,16 +176,20 @@ impl DualPassScratch {
         Self::default()
     }
 
-    /// Refreshes one slot's context from the current clean weights and
-    /// injects the fault map into its scratch network.
+    /// Refreshes one slot's context from the current clean weights (unless
+    /// `stale` is false: the image already holds them) and injects the
+    /// fault map into its scratch network.
     fn perturb_slot(
         slot: &mut Option<(PerturbContext, PerturbScratch)>,
         net: &Sequential,
+        stale: bool,
         bits: u8,
         map: &FaultMap,
     ) -> Result<()> {
         if let Some((context, scratch)) = slot {
-            context.refresh(net)?;
+            if stale {
+                context.refresh(net)?;
+            }
             context.perturb_map_into(map, scratch)?;
         } else {
             let context = PerturbContext::new(net, bits)?;
@@ -233,14 +240,20 @@ pub fn berry_update_step_with_scratch(
     let gamma = agent.config().gamma;
 
     // Perturbed copies ˜θ and ˜θ⁻ (line 15), through the quantize-once
-    // byte-image pipeline (refreshed because the weights moved last step).
-    DualPassScratch::perturb_slot(&mut scratch.q, agent.q_net(), perturber.bits(), fault_map)?;
+    // byte-image pipeline: θ is re-quantized because it moved last step,
+    // θ⁻ only when it was synchronized (or otherwise changed) since.
+    DualPassScratch::perturb_slot(&mut scratch.q, agent.q_net(), true, perturber.bits(), fault_map)?;
+    let generation = Some(agent.target_generation());
+    let target_stale = scratch.target_generation != generation;
+    scratch.target_generation = None;
     DualPassScratch::perturb_slot(
         &mut scratch.target,
         agent.target_net(),
+        target_stale,
         perturber.bits(),
         fault_map,
     )?;
+    scratch.target_generation = generation;
 
     let (_, q_scratch) = scratch
         .q
@@ -255,7 +268,7 @@ pub fn berry_update_step_with_scratch(
     // Both passes run Q(s′) through the target slot's inference scratch.
     agent.q_net_mut().zero_grad();
     let clean_loss = {
-        let (q_net, target_net) = agent.nets_mut();
+        let (q_net, target_net) = agent.q_net_mut_with_target();
         let (_, infer) = target_scratch.network_and_infer();
         accumulate_td_gradients(
             q_net,
@@ -600,6 +613,52 @@ mod tests {
         assert!(clean.is_finite() && perturbed.is_finite());
         assert_ne!(agent.q_net().to_flat_weights(), before);
         assert_eq!(agent.train_steps(), 1);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_across_target_syncs() {
+        // The target image is re-quantized only when the target moves; a
+        // scratch reused across syncs must give the same bits as a fresh
+        // scratch (which always quantizes the current target).
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let config = berry_rl::dqn::DqnConfig {
+            target_sync_every: 3,
+            ..Default::default()
+        };
+        let mut reused = DqnAgent::new(&QNetworkSpec::mlp(vec![16]), &[1], 2, config, &mut rng)
+            .unwrap();
+        let mut fresh = reused.clone();
+        let perturber = NetworkPerturber::new(8).unwrap();
+        let batch: Vec<Transition> = (0..8)
+            .map(|i| Transition {
+                state: Tensor::from_vec(vec![1], vec![i as f32 / 8.0]).unwrap(),
+                action: i % 2,
+                reward: if i % 3 == 0 { 1.0 } else { -0.5 },
+                next_state: Tensor::from_vec(vec![1], vec![(i + 1) as f32 / 8.0]).unwrap(),
+                done: i == 7,
+            })
+            .collect();
+        let mut scratch = DualPassScratch::new();
+        let bits = |agent: &DqnAgent| -> Vec<u32> {
+            agent.q_net().to_flat_weights().iter().map(|v| v.to_bits()).collect()
+        };
+        for step in 0..11 {
+            if step == 7 {
+                // A target edited in place must be picked up too.
+                for agent in [&mut reused, &mut fresh] {
+                    agent.target_net_mut().params_mut()[0].data_mut()[0] += 0.25;
+                }
+            }
+            let map = perturber
+                .sample_fault_map(reused.q_net(), &ChipProfile::generic(), 0.02, &mut rng)
+                .unwrap();
+            let a = berry_update_step_with_scratch(&mut reused, &batch, &perturber, &map, &mut scratch)
+                .unwrap();
+            let b = berry_update_step(&mut fresh, &batch, &perturber, &map).unwrap();
+            assert_eq!(a.0.to_bits(), b.0.to_bits(), "clean loss at step {step}");
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "perturbed loss at step {step}");
+            assert_eq!(bits(&reused), bits(&fresh), "weights after step {step}");
+        }
     }
 
     #[test]

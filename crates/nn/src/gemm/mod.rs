@@ -1,22 +1,31 @@
 //! The shared im2col/GEMM core of training and inference.
 //!
 //! Every matrix product of the dense and convolution layers — forward,
-//! the convolution's weight and input gradients, and batched inference —
-//! funnels through [`gemm_nt`]: a cache-friendly, register-tiled
-//! `C = A · Bᵀ` kernel over row-major operands whose rows share the
-//! contraction dimension.  One kernel serving every layer is what makes
-//! the batched lockstep rollout engine pay a *single* well-optimized
-//! forward pass per timestep for all concurrent episode lanes, and what
-//! lets training run at GEMM speed with the scalar kernels' bits.
+//! the weight and input gradients, and batched inference — funnels
+//! through two Reference-tier kernels with one arithmetic contract:
+//!
+//! * [`gemm_nt`] — a register-tiled scalar `C = A · Bᵀ` over row-major
+//!   operands whose rows share the contraction dimension (dense forward
+//!   at small batches, the Fast tier's entry point);
+//! * [`gemm_kn`] — `C = A · B` with `B` stored k-major (`[k][n]`) and a
+//!   strided `A`, vectorized with SIMD lanes across *output columns*
+//!   (the convolution's forward, dW and dX, dense backward, and dense
+//!   forward at batch ≥ 8).
+//!
+//! This is what makes the batched lockstep rollout engine pay a *single*
+//! well-optimized forward pass per timestep for all concurrent episode
+//! lanes, and what lets training run at SIMD speed with the scalar
+//! kernels' bits.
 //!
 //! # Bitwise contract
 //!
-//! The kernel is register-tiled over the *output* dimensions only: every
-//! output element still accumulates its `k` terms in strictly ascending
-//! order with separate multiply and add (no FMA contraction), so each
-//! element's floating-point sequence — and therefore its bits — is
-//! identical to the naive scalar reference regardless of the tile shape or
-//! the batch size.  Two consequences the evaluation protocol relies on:
+//! Both kernels are register-tiled over the *output* dimensions only:
+//! every output element still accumulates its `k` terms in strictly
+//! ascending order with separate multiply and add (no FMA contraction),
+//! so each element's floating-point sequence — and therefore its bits —
+//! is identical to the naive scalar reference regardless of the tile
+//! shape, the vector width or the batch size.  Two consequences the
+//! evaluation protocol relies on:
 //!
 //! * **batch invariance** — row `i` of a batched product is bitwise equal
 //!   to the same row computed alone, which is what lets the lockstep
@@ -38,15 +47,17 @@
 //! # Precision tiers
 //!
 //! The contract above — one strictly ascending accumulation chain per
-//! output element — is exactly what keeps a scalar kernel an order of
-//! magnitude below one core's FMA units: the next multiply-add cannot
-//! start until the previous one retires.  SIMD with multiple accumulators
-//! reassociates the sum and FMA skips an intermediate rounding, so a fast
-//! kernel *cannot* be bitwise-identical to the reference.  Rather than
-//! silently trade bits for speed, the crate names the trade:
+//! output element — rules out the usual ways a kernel goes fast *along*
+//! `k`: SIMD lanes or multiple accumulators over one element's terms
+//! reassociate its sum, and FMA skips an intermediate rounding.  SIMD
+//! lanes *across* output elements keep every chain intact — that is
+//! [`gemm_kn`] — but they need many independent outputs and the k-major
+//! operand layout.  A kernel that vectorizes over `k` *cannot* be
+//! bitwise-identical to the reference, so rather than silently trade bits
+//! for speed, the crate names the trade:
 //!
 //! * [`Precision::Reference`] (the default) — the k-ascending separate
-//!   mul+add kernel above.  Bitwise identical to every scalar layer
+//!   mul+add kernels above.  Bitwise identical to every scalar layer
 //!   reference and to all historical golden pins.
 //! * [`Precision::Fast`] — packed, cache-blocked microkernels
 //!   ([`fast`]) built on an **eight-lane mod-8 accumulation spec** with
@@ -58,19 +69,23 @@
 //!   more accurate) rounding path than Reference.
 //!
 //! Tier selection is carried by [`GemmScratch`] (and therefore by
-//! `InferScratch`), defaulting to `Reference` everywhere; the backend is
-//! picked once per process by [`detected_fast_backend`] and can be pinned
-//! to the scalar fallback with `BERRY_GEMM_FORCE_SCALAR=1`.
+//! `InferScratch`), defaulting to `Reference` everywhere; the instruction
+//! set is picked once per process by [`detected_fast_backend`] for both
+//! tiers (AVX2 runs the Fast microkernels and the [`gemm_kn`] lanes
+//! kernel), and `BERRY_GEMM_FORCE_SCALAR=1` pins both to their portable
+//! fallbacks.
 
 // lint: pinned-path — reductions here feed golden-pinned statistics; use berry_nn::reduce helpers
 
 mod fast;
 mod fast_scalar;
+mod kn;
 #[cfg(target_arch = "x86_64")]
 mod simd_avx2;
 #[cfg(target_arch = "aarch64")]
 mod simd_neon;
 
+pub use kn::{gemm_kn, gemm_kn_with_backend, StridedA};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -214,7 +229,9 @@ impl Precision {
 }
 
 /// The instruction-set backend executing the Fast tier's accumulation
-/// spec.  All three produce identical bits; the choice only affects speed.
+/// spec — and, for [`gemm_kn`], the Reference tier's lanes kernel (AVX2,
+/// or the portable kernel for any other value).  Within a tier all
+/// backends produce identical bits; the choice only affects speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastBackend {
     /// 256-bit AVX2 + FMA microkernel (x86_64).
@@ -238,7 +255,7 @@ impl FastBackend {
     }
 }
 
-/// The Fast-tier backend this process uses, decided once: the scalar
+/// The SIMD backend this process uses, decided once: the scalar
 /// fallback if `BERRY_GEMM_FORCE_SCALAR` is set to `1`/`true`, otherwise
 /// the widest SIMD extension the CPU reports at runtime.
 pub fn detected_fast_backend() -> FastBackend {
@@ -463,6 +480,8 @@ pub struct GemmScratch {
     /// Zero-bordered copy of the plane being unrolled (see
     /// [`GemmScratch::im2col_packs_precision`]).
     padded: Vec<f32>,
+    /// A transposed GEMM output (see [`GemmScratch::transpose_buffers`]).
+    out_t: Vec<f32>,
     packs: PackScratch,
     precision: Precision,
 }
@@ -532,9 +551,9 @@ impl GemmScratch {
     /// [`im2col`]'s transpose into the scratch's patch buffer: the
     /// `[taps][pixels]` matrix
     /// `col_t[(ic·kernel + kh)·kernel + kw][oy·out_w + ox] = input[ic][iy][ix]`
-    /// (`+0.0` in padding cells) — the operand the convolution's
-    /// weight-gradient GEMM contracts over pixels with.  Built from the
-    /// same zero-bordered plane as
+    /// (`+0.0` in padding cells) — the k-major operand of the
+    /// convolution's Reference forward, which runs [`gemm_kn`] with lanes
+    /// across pixels.  Built from the same zero-bordered plane as
     /// [`GemmScratch::im2col_packs_precision`].
     ///
     /// # Panics
@@ -543,21 +562,12 @@ impl GemmScratch {
     pub fn im2col_transposed(&mut self, input: &[f32], shape: &Im2colShape) -> &[f32] {
         let len = self.pad_plane(input, shape);
         let col_t = &mut self.col[..len];
-        let (ph, pw) = (
-            shape.height + 2 * shape.padding,
-            shape.width + 2 * shape.padding,
-        );
-        let (k, stride) = (shape.kernel, shape.stride);
-        let span = (shape.out_w - 1) * stride + 1;
-        for (tap, tap_row) in col_t.chunks_exact_mut(shape.rows()).enumerate() {
-            let (ic, kh, kw) = (tap / (k * k), tap / k % k, tap % k);
-            for (oy, out_row) in tap_row.chunks_exact_mut(shape.out_w).enumerate() {
-                let at = ic * ph * pw + (oy * stride + kh) * pw + kw;
-                let in_row = &self.padded[at..at + span];
-                for (ox, v) in out_row.iter_mut().enumerate() {
-                    *v = in_row[ox * stride];
-                }
-            }
+        // The policy networks' output planes are 9 or 5 wide: a constant
+        // run length lets every run compile to plain moves.
+        match shape.out_w {
+            9 => im2col_transposed_from_padded(&self.padded, shape, 9, col_t),
+            5 => im2col_transposed_from_padded(&self.padded, shape, 5, col_t),
+            out_w => im2col_transposed_from_padded(&self.padded, shape, out_w, col_t),
         }
         col_t
     }
@@ -594,6 +604,20 @@ impl GemmScratch {
             }
         }
         len
+    }
+
+    /// The patch buffer and a second buffer, grown to at least `in_len`
+    /// and `out_len` elements: the transposed input and output of the
+    /// dense layer's lanes-across-the-batch product.  Contents are
+    /// unspecified.
+    pub(crate) fn transpose_buffers(&mut self, in_len: usize, out_len: usize) -> (&mut [f32], &mut [f32]) {
+        if self.col.len() < in_len {
+            self.col.resize(in_len, 0.0);
+        }
+        if self.out_t.len() < out_len {
+            self.out_t.resize(out_len, 0.0);
+        }
+        (&mut self.col[..in_len], &mut self.out_t[..out_len])
     }
 
     /// The packing panels and tier without the patch buffer — what the
@@ -793,6 +817,33 @@ fn im2col_from_padded(padded: &[f32], shape: &Im2colShape, kernel: usize, col: &
     }
 }
 
+/// [`GemmScratch::im2col_transposed`] from a zero-bordered
+/// `[c, h + 2p, w + 2p]` plane: each tap row is `out_h` runs of `out_w`
+/// values, copied whole at stride 1 and stepped through otherwise.
+#[inline(always)]
+fn im2col_transposed_from_padded(padded: &[f32], shape: &Im2colShape, out_w: usize, col_t: &mut [f32]) {
+    let (ph, pw) = (
+        shape.height + 2 * shape.padding,
+        shape.width + 2 * shape.padding,
+    );
+    let (k, stride) = (shape.kernel, shape.stride);
+    let span = (out_w - 1) * stride + 1;
+    for (tap, tap_row) in col_t.chunks_exact_mut(shape.rows()).enumerate() {
+        let (ic, kh, kw) = (tap / (k * k), tap / k % k, tap % k);
+        let corner = ic * ph * pw + kh * pw + kw;
+        let in_rows = padded[corner..].chunks(stride * pw);
+        for (out_row, in_row) in tap_row.chunks_exact_mut(out_w).zip(in_rows) {
+            if stride == 1 {
+                out_row.copy_from_slice(&in_row[..out_w]);
+            } else {
+                for (v, &x) in out_row.iter_mut().zip(in_row[..span].iter().step_by(stride)) {
+                    *v = x;
+                }
+            }
+        }
+    }
+}
+
 /// FLOP count of one `gemm_nt` call (a multiply and an add per `(i, j, p)`
 /// triple), used by the throughput reports.
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
@@ -850,6 +901,82 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kn_kernel_matches_reference_bitwise_on_every_backend() {
+        // Fringe rows (m % 4), fringe columns (n % 8, n % 16), k = 1,
+        // every bias mode, a row-major and a transposed (strided) A, and
+        // −0.0 / exact-zero operands and priors.
+        let mut r = rng(10);
+        let mut shapes = Vec::new();
+        for m in [1usize, 2, 3, 4, 5, 7, 8, 13] {
+            for n in [1usize, 5, 8, 9, 15, 16, 17, 24, 25, 33, 81] {
+                shapes.push((m, n, [1usize, 7, 25][(m + n) % 3]));
+            }
+        }
+        shapes.extend([(16, 144, 25), (64, 400, 32), (32, 64, 25)]);
+        let signed_zeros = |v: &mut Vec<f32>, every: usize| {
+            for (i, x) in v.iter_mut().enumerate().step_by(every) {
+                *x = if i % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        };
+        for &(m, n, k) in &shapes {
+            let mut a = rand_vec(m * k, &mut r);
+            let mut b_kn = rand_vec(k * n, &mut r);
+            signed_zeros(&mut a, 3);
+            signed_zeros(&mut b_kn, 5);
+            let mut row_bias = rand_vec(m, &mut r);
+            row_bias[0] = -0.0;
+            let mut col_bias = rand_vec(n, &mut r);
+            col_bias[0] = -0.0;
+            let mut c_prior = rand_vec(m * n, &mut r);
+            signed_zeros(&mut c_prior, 4);
+            // The oracle's NT operands: B as [n][k]; A row-major.
+            let b_nt: Vec<f32> = (0..n * k).map(|at| b_kn[(at % k) * n + at / k]).collect();
+            // A also stored transposed ([k][m]) and read through strides.
+            let a_t: Vec<f32> = (0..k * m).map(|at| a[(at % m) * k + at / m]).collect();
+            for bias in [
+                BiasMode::None,
+                BiasMode::RowInit(&row_bias),
+                BiasMode::ColAfter(&col_bias),
+                BiasMode::Accumulate,
+            ] {
+                let mut c_ref = c_prior.clone();
+                gemm_nt_reference(m, n, k, &a, &b_nt, bias, &mut c_ref);
+                for backend in [FastBackend::Avx2, FastBackend::Scalar] {
+                    for (view, layout) in [
+                        (StridedA::row_major(&a, k), "row-major A"),
+                        (StridedA::transposed(&a_t, m), "transposed A"),
+                    ] {
+                        let mut c_kn = c_prior.clone();
+                        gemm_kn_with_backend(m, n, k, view, &b_kn, bias, &mut c_kn, backend);
+                        for (i, (x, y)) in c_kn.iter().zip(&c_ref).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "({m},{n},{k}) {bias:?} {backend:?} {layout} element {i}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kn_kernel_leaves_c_past_its_extent_untouched() {
+        // Masked stores write only the tile's own columns.
+        let (m, n, k) = (3usize, 13usize, 4usize);
+        let mut r = rng(11);
+        let a = rand_vec(m * k, &mut r);
+        let b = rand_vec(k * n, &mut r);
+        for backend in [FastBackend::Avx2, FastBackend::Scalar] {
+            let mut c = vec![f32::NAN; m * n + 9];
+            gemm_kn_with_backend(m, n, k, StridedA::row_major(&a, k), &b, BiasMode::None, &mut c, backend);
+            assert!(c[..m * n].iter().all(|v| v.is_finite()), "{backend:?}");
+            assert!(c[m * n..].iter().all(|v| v.is_nan()), "{backend:?}");
         }
     }
 

@@ -1,18 +1,28 @@
-//! AVX2+FMA implementation of the Fast tier's eight-lane accumulation
-//! spec (see [`super::fast`]): one 256-bit register *is* the spec's eight
-//! lanes, so each `vfmadd231ps` performs one spec step for all lanes of
-//! one output element at once.
+//! AVX2 bodies of both precision tiers.
+//!
+//! * **Fast** — the eight-lane accumulation spec (see [`super::fast`]):
+//!   one 256-bit register *is* the spec's eight lanes, so each
+//!   `vfmadd231ps` performs one spec step for all lanes of one output
+//!   element at once.
+//! * **Reference** — the lanes-across-outputs kernel (see [`super::kn`]):
+//!   each lane is a different output element, and each element's terms
+//!   are added in ascending order by a `vmulps` then a `vaddps`, never
+//!   fused, so every lane replays the scalar kernel's rounding sequence.
 //!
 //! This module is the crate's only x86 unsafe surface (with its NEON
 //! twin); the crate root demotes `forbid(unsafe_code)` to `deny` solely
 //! so these two leaf modules can opt in.  All pointer arithmetic is
-//! bounds-justified by the panel invariants asserted in [`strip_at`].
+//! bounds-justified by the invariants asserted in the safe entries
+//! [`strip_at`] and [`kn_accumulate_at`].
 #![allow(unsafe_code)]
 
 use super::fast::{KR, MR_F, NR_F};
+use super::kn::{MR_K, NR_K};
 use std::arch::x86_64::{
-    __m128, __m256, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-    _mm256_loadu_ps, _mm256_setzero_ps, _mm_add_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps,
+    __m128, __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32,
+    _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps,
+    _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps,
     _mm_unpackhi_ps, _mm_unpacklo_ps,
 };
 
@@ -136,4 +146,172 @@ unsafe fn reduce_row(acc_row: &[__m256; NR_F]) -> __m128 {
     let p2 = _mm_movelh_ps(t1, t3); // s02 s12 s22 s32
     let p3 = _mm_movehl_ps(t3, t1); // s03 s13 s23 s33
     _mm_add_ps(_mm_add_ps(p0, p2), _mm_add_ps(p1, p3)) // (s0+s2)+(s1+s3), per j
+}
+
+/// Safe entry of the Reference tier's lanes-across-outputs kernel:
+/// `C[i][j] += Σₚ A[i·rs + p·cs] · B[p·n + j]` for row-major `B` (`k×n`)
+/// and `C` (`m×n`), each element's terms added in ascending `p`.  All
+/// unsafe preconditions are discharged here: the operand extents by
+/// assertion, AVX2 by (cached) runtime detection.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn kn_accumulate_at(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    rs: usize,
+    cs: usize,
+    b: &[f32],
+    c: &mut [f32],
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!((m - 1) * rs + (k - 1) * cs < a.len());
+    assert!(b.len() >= k * n);
+    assert!(c.len() >= m * n);
+    assert!(
+        std::arch::is_x86_feature_detected!("avx2"),
+        "AVX2 backend selected on a CPU without avx2"
+    );
+    // SAFETY: the asserts above bound every `A`, `B` and `C` access of the
+    // sweep and guarantee the required target feature is present.
+    unsafe { kn_accumulate(m, n, k, a.as_ptr(), rs, cs, b.as_ptr(), c.as_mut_ptr()) }
+}
+
+/// Sweeps `MR_K × NR_K` register tiles over `C`; fringe tiles keep fewer
+/// rows and mask their last vector's columns.
+///
+/// # Safety
+///
+/// The caller must guarantee AVX2 is available, `m`, `n`, `k` ≥ 1, that
+/// `a` is readable at every `i·rs + p·cs` (`i < m`, `p < k`), `b` at
+/// `k·n` and `c` readable and writable at `m·n` consecutive `f32`s.
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn kn_accumulate(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: *const f32,
+    rs: usize,
+    cs: usize,
+    b: *const f32,
+    c: *mut f32,
+) {
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = MR_K.min(m - i0);
+        let mut j0 = 0;
+        while j0 < n {
+            let cols = NR_K.min(n - j0);
+            // Lanes `cols % 8 ..` of the last vector are masked off (a
+            // full vector when `cols` is a multiple of eight).
+            let tail = cols - (cols - 1) / 8 * 8;
+            let mask = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(tail as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            let t = KnTile {
+                k,
+                a: a.add(i0 * rs),
+                rs,
+                cs,
+                b: b.add(j0),
+                n,
+                c: c.add(i0 * n + j0),
+                mask,
+            };
+            match (rows, cols > 8, tail == 8) {
+                (4, true, true) => t.run::<4, 2, false>(),
+                (4, true, false) => t.run::<4, 2, true>(),
+                (4, false, true) => t.run::<4, 1, false>(),
+                (4, false, false) => t.run::<4, 1, true>(),
+                (3, true, true) => t.run::<3, 2, false>(),
+                (3, true, false) => t.run::<3, 2, true>(),
+                (3, false, true) => t.run::<3, 1, false>(),
+                (3, false, false) => t.run::<3, 1, true>(),
+                (2, true, true) => t.run::<2, 2, false>(),
+                (2, true, false) => t.run::<2, 2, true>(),
+                (2, false, true) => t.run::<2, 1, false>(),
+                (2, false, false) => t.run::<2, 1, true>(),
+                (_, true, true) => t.run::<1, 2, false>(),
+                (_, true, false) => t.run::<1, 2, true>(),
+                (_, false, true) => t.run::<1, 1, false>(),
+                (_, false, false) => t.run::<1, 1, true>(),
+            }
+            j0 += NR_K;
+        }
+        i0 += MR_K;
+    }
+}
+
+/// One register tile of [`kn_accumulate`]: `a` at the tile's first row,
+/// `b` and `c` at its first column.
+struct KnTile {
+    k: usize,
+    a: *const f32,
+    rs: usize,
+    cs: usize,
+    b: *const f32,
+    n: usize,
+    c: *mut f32,
+    mask: __m256i,
+}
+
+impl KnTile {
+    /// `R` rows × `V` vectors of accumulators held in registers across
+    /// the whole `k` sweep; when `MASKED`, the last vector covers only the
+    /// lanes of `mask`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`kn_accumulate`], for the tile's `R` rows and
+    /// `8·(V − 1) + popcount(mask)` columns.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn run<const R: usize, const V: usize, const MASKED: bool>(&self) {
+        let (n, mask) = (self.n, self.mask);
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let c_row = self.c.add(r * n);
+            for (v, accv) in acc_row.iter_mut().enumerate() {
+                *accv = if MASKED && v == V - 1 {
+                    _mm256_maskload_ps(c_row.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(c_row.add(8 * v))
+                };
+            }
+        }
+        for p in 0..self.k {
+            let b_row = self.b.add(p * n);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = if MASKED && v == V - 1 {
+                    _mm256_maskload_ps(b_row.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(b_row.add(8 * v))
+                };
+            }
+            let a_col = self.a.add(p * self.cs);
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*a_col.add(r * self.rs));
+                for (accv, &bvv) in acc_row.iter_mut().zip(bv.iter()) {
+                    // Separate multiply and add: the scalar kernel's two
+                    // roundings per term, in every lane.
+                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, bvv));
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let c_row = self.c.add(r * n);
+            for (v, &accv) in acc_row.iter().enumerate() {
+                if MASKED && v == V - 1 {
+                    _mm256_maskstore_ps(c_row.add(8 * v), mask, accv);
+                } else {
+                    _mm256_storeu_ps(c_row.add(8 * v), accv);
+                }
+            }
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! 2-D convolution layer, lowered onto the shared im2col/GEMM core.
 
 use super::Layer;
-use crate::gemm::{gemm_nt, gemm_nt_with, BiasMode, GemmScratch, Im2colShape};
+use crate::gemm::{gemm_kn, gemm_nt_with, BiasMode, GemmScratch, Im2colShape, Precision, StridedA};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -10,12 +10,11 @@ use crate::tensor::Tensor;
 /// Weights have shape `[out_channels, in_channels, kernel, kernel]` and the
 /// bias `[out_channels]`.  Every pass — training `forward`, `backward` and
 /// the immutable `infer`/`infer_with` — runs on the im2col +
-/// [`gemm_nt`](crate::gemm::gemm_nt) core at the Reference tier (the
-/// inference path follows its scratch's tier), and each output and
-/// gradient element accumulates its terms in the order of the direct
-/// six-loop convolution, so the bits equal that kernel's (see
-/// [`Conv2d::backward`](Layer::backward) and DESIGN.md "Training on the
-/// GEMM core").
+/// [`gemm_kn`] core at the Reference tier (the inference path follows its
+/// scratch's tier), and each output and gradient element accumulates its
+/// terms in the order of the direct six-loop convolution, so the bits
+/// equal that kernel's (see [`Conv2d::backward`](Layer::backward) and
+/// DESIGN.md "Training on the GEMM core").
 ///
 /// # Examples
 ///
@@ -53,8 +52,7 @@ pub struct Conv2d {
 /// snapshots) starts the clone with empty buffers.
 #[derive(Debug, Default)]
 struct TrainScratch {
-    /// One sample's im2col patch matrix (transposed in backward); always
-    /// at the Reference tier.
+    /// One sample's im2col patch matrix; always at the Reference tier.
     gemm: GemmScratch,
     /// The input pixels grouped by stride phase; depends only on the
     /// input extent.
@@ -67,7 +65,8 @@ struct TrainScratch {
     /// One sample's output gradient with a `0.0` appended to every
     /// channel plane, `[oc][plane + 1]`: the gather tables' zero slot.
     go_padded: Vec<f32>,
-    /// One phase of one sample's gathered output gradient `G[pixel][(oc, tap)]`.
+    /// One phase of one sample's gathered output gradient, k-major:
+    /// `G[(oc, tap)][pixel]`.
     gathered: Vec<f32>,
     /// One phase of one sample's input gradient, `[ic][pixel]`.
     dx_block: Vec<f32>,
@@ -85,7 +84,7 @@ struct StridePhase {
     /// The reaching taps `(kh, kw)` in flipped order: `kh` descending,
     /// then `kw` descending.
     taps: Vec<(usize, usize)>,
-    /// `[pixel][tap]` → the output pixel the tap reaches, or the plane
+    /// `[tap][pixel]` → the output pixel the tap reaches, or the plane
     /// size (the zero slot of [`TrainScratch::go_padded`]) where it falls
     /// past the output's border.
     gather: Vec<u32>,
@@ -213,30 +212,29 @@ impl Conv2d {
                         }
                     }
                     let mut pixels = Vec::new();
-                    let mut gather = Vec::new();
                     for iy in (0..shape.height).filter(|iy| (iy + p) % s == phase_y) {
                         for ix in (0..shape.width).filter(|ix| (ix + p) % s == phase_x) {
                             pixels.push(
                                 u32::try_from(iy * shape.width + ix)
                                     .expect("input plane fits a u32 index"),
                             );
-                            for &(kh, kw) in &taps {
-                                // On this phase `iy + p − kh` is a multiple
-                                // of the stride whenever it is non-negative.
-                                let oy = (iy + p).checked_sub(kh).map(|v| v / s);
-                                let ox = (ix + p).checked_sub(kw).map(|v| v / s);
-                                let slot = match (oy, ox) {
-                                    (Some(oy), Some(ox))
-                                        if oy < shape.out_h && ox < shape.out_w =>
-                                    {
-                                        oy * shape.out_w + ox
-                                    }
-                                    _ => shape.rows(),
-                                };
-                                gather.push(
-                                    u32::try_from(slot).expect("output plane fits a u32 index"),
-                                );
-                            }
+                        }
+                    }
+                    let mut gather = Vec::with_capacity(taps.len() * pixels.len());
+                    for &(kh, kw) in &taps {
+                        for &pix in &pixels {
+                            let (iy, ix) = (pix as usize / shape.width, pix as usize % shape.width);
+                            // On this phase `iy + p − kh` is a multiple of
+                            // the stride whenever it is non-negative.
+                            let oy = (iy + p).checked_sub(kh).map(|v| v / s);
+                            let ox = (ix + p).checked_sub(kw).map(|v| v / s);
+                            let slot = match (oy, ox) {
+                                (Some(oy), Some(ox)) if oy < shape.out_h && ox < shape.out_w => {
+                                    oy * shape.out_w + ox
+                                }
+                                _ => shape.rows(),
+                            };
+                            gather.push(u32::try_from(slot).expect("output plane fits a u32 index"));
                         }
                     }
                     // A phase without pixels or taps has nothing to add:
@@ -303,17 +301,18 @@ impl Conv2d {
             let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
             let sample = n * c * in_pixels..(n + 1) * c * in_pixels;
 
-            // dW += goₙ · colₙ, contracting over the pixel index of colₙᵀ.
-            let col_t = self
+            // dW += goₙ · colₙ, contracting over the pixel index (the rows
+            // of colₙ, so colₙ is already the k-major operand).
+            let (col, _, _) = self
                 .scratch
                 .gemm
-                .im2col_transposed(&input.data()[sample.clone()], &shape);
-            gemm_nt(
+                .im2col_packs_precision(&input.data()[sample.clone()], &shape);
+            gemm_kn(
                 oc_n,
                 taps,
                 plane,
-                go_n,
-                col_t,
+                StridedA::row_major(go_n, plane),
+                col,
                 BiasMode::Accumulate,
                 self.grad_weight.data_mut(),
             );
@@ -334,7 +333,7 @@ impl Conv2d {
         self.cached_input = Some(input);
     }
 
-    /// One sample's `dXₙ = Wf · Gₙᵀ`, one GEMM per stride phase, written
+    /// One sample's `dXₙ = Wf · Gₙ`, one GEMM per stride phase, written
     /// into `grad_in_n` (`[c][h·w]`).  Needs [`Conv2d::prepare_input_gradient`]
     /// for the current weights and input extent.
     fn input_gradient(&mut self, go_n: &[f32], plane: usize, grad_in_n: &mut [f32]) {
@@ -357,26 +356,26 @@ impl Conv2d {
         for phase in phases.iter() {
             let (npix, ntaps) = (phase.pixels.len(), phase.taps.len());
             let kc = oc_n * ntaps;
-            gathered.resize(npix * kc, 0.0);
-            for (g_row, idx_row) in gathered
-                .chunks_exact_mut(kc)
-                .zip(phase.gather.chunks_exact(ntaps))
+            gathered.resize(kc * npix, 0.0);
+            for (g_oc, go_oc) in gathered
+                .chunks_exact_mut(ntaps * npix)
+                .zip(go_padded.chunks_exact(plane + 1))
             {
-                for (g_oc, go_oc) in g_row
-                    .chunks_exact_mut(ntaps)
-                    .zip(go_padded.chunks_exact(plane + 1))
+                for (g_row, idx_row) in g_oc
+                    .chunks_exact_mut(npix)
+                    .zip(phase.gather.chunks_exact(npix))
                 {
-                    for (g, &slot) in g_oc.iter_mut().zip(idx_row) {
+                    for (g, &slot) in g_row.iter_mut().zip(idx_row) {
                         *g = go_oc[slot as usize];
                     }
                 }
             }
             dx_block.resize(c * npix, 0.0);
-            gemm_nt(
+            gemm_kn(
                 c,
                 npix,
                 kc,
-                &flipped[flipped_at..flipped_at + c * kc],
+                StridedA::row_major(&flipped[flipped_at..flipped_at + c * kc], kc),
                 gathered,
                 BiasMode::None,
                 dx_block,
@@ -431,28 +430,36 @@ impl Layer for Conv2d {
 
         // im2col + GEMM lowering: out[n][oc][p] = bias[oc] + w_row(oc)·col_row(p).
         // Patch columns follow the (ic, kh, kw) tap order.  At the default
-        // Reference tier the GEMM accumulates them ascending, so every
+        // Reference tier the GEMM accumulates them ascending (lanes across
+        // the output pixels of the transposed patch matrix), so every
         // output element replays the direct convolution's floating-point
         // sequence exactly (padding cells contribute ±0.0 products, which
         // never change an accumulator that is not −0.0 — see the gemm
         // module docs); the Fast tier follows the scratch's precision
-        // setting and trades that bitwise identity for SIMD throughput.
+        // setting and trades that bitwise identity for its own spec.
         for n in 0..batch {
             let plane = &in_data[n * c * h * w..(n + 1) * c * h * w];
-            let (col, packs, precision) = gemm.im2col_packs_precision(plane, &shape);
             let out_block =
                 &mut out_data[n * self.out_channels * rows..(n + 1) * self.out_channels * rows];
-            gemm_nt_with(
-                self.out_channels,
-                rows,
-                taps,
-                w_data,
-                col,
-                BiasMode::RowInit(bias),
-                out_block,
-                precision,
-                packs,
-            );
+            let bias = BiasMode::RowInit(bias);
+            if gemm.precision() == Precision::Reference {
+                let col_t = gemm.im2col_transposed(plane, &shape);
+                let weights = StridedA::row_major(w_data, taps);
+                gemm_kn(self.out_channels, rows, taps, weights, col_t, bias, out_block);
+            } else {
+                let (col, packs, precision) = gemm.im2col_packs_precision(plane, &shape);
+                gemm_nt_with(
+                    self.out_channels,
+                    rows,
+                    taps,
+                    w_data,
+                    col,
+                    bias,
+                    out_block,
+                    precision,
+                    packs,
+                );
+            }
         }
     }
 
@@ -465,7 +472,7 @@ impl Layer for Conv2d {
     /// * **dW** — `dW[oc][tap] += Σₚ goₙ[oc][p]·colₙ[p][tap]`, one
     ///   [`BiasMode::Accumulate`] GEMM per sample with samples ascending,
     ///   which replays each weight's `(n, oy, ox)` term sequence.
-    /// * **dX** — `dXₙ[ic][pix] = Σₖ Wf[ic][k]·Gₙ[pix][k]` with
+    /// * **dX** — `dXₙ[ic][pix] = Σₖ Wf[ic][k]·Gₙ[k][pix]` with
     ///   `k = (oc, kh, kw)` over `kh`, `kw` *descending*; `Wf` is the
     ///   flipped weight and `Gₙ` gathers `goₙ` through a per-shape table
     ///   (`0` where a tap falls past the output's border).  For a fixed

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use super::Layer;
-use crate::gemm::{gemm_nt_with, BiasMode, GemmScratch};
+use crate::gemm::{gemm_kn, gemm_nt_with, BiasMode, GemmScratch, Precision, StridedA};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -36,6 +36,29 @@ pub struct Dense {
     cached_input: Option<Tensor>,
     in_features: usize,
     out_features: usize,
+    scratch: TrainScratch,
+}
+
+/// Smallest batch whose Reference forward runs with SIMD lanes across the
+/// batch; smaller batches (single-observation action selection) use the
+/// scalar tile, which needs no transposes.  Both paths produce the same
+/// bits, so this only moves speed.
+const LANES_OVER_BATCH_MIN: usize = 8;
+
+/// Reusable buffers of the training passes.  A cache, not state: cloning
+/// a layer starts the clone with empty buffers.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    /// The forward's transposed operands.
+    gemm: GemmScratch,
+    /// `dyᵀ·x` of the current backward, before it joins `grad_weight`.
+    weight_step: Vec<f32>,
+}
+
+impl Clone for TrainScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl Dense {
@@ -56,6 +79,7 @@ impl Dense {
             cached_input: None,
             in_features,
             out_features,
+            scratch: TrainScratch::default(),
         }
     }
 
@@ -86,6 +110,7 @@ impl Dense {
             cached_input: None,
             in_features,
             out_features,
+            scratch: TrainScratch::default(),
         }
     }
 
@@ -111,6 +136,12 @@ impl Dense {
 
     /// The parameter half of [`Layer::backward`]: `grad_w += dyᵀ · x` and
     /// `grad_b +=` the column sums of `dy`.
+    ///
+    /// `dyᵀ · x` is summed from `+0.0` over the batch in ascending order
+    /// and then added to `grad_w` — the association of `Tensor::matmul`
+    /// followed by `add_scaled(…, 1.0)`.  `dyᵀ` is read in place through
+    /// [`StridedA::transposed`]; the `dy == 0` terms `matmul` skips are
+    /// `±0.0` products that cannot change a sum started at `+0.0`.
     fn accumulate_gradients(&mut self, grad_output: &Tensor) {
         let input = self
             .cached_input
@@ -119,13 +150,23 @@ impl Dense {
         assert_eq!(grad_output.rank(), 2, "Dense gradient must be rank 2");
         assert_eq!(grad_output.shape()[0], input.shape()[0]);
         assert_eq!(grad_output.shape()[1], self.out_features);
+        let (batch, out_f, in_f) = (input.shape()[0], self.out_features, self.in_features);
 
         // grad_w += dyᵀ · x   ([out, batch] x [batch, in] -> [out, in])
-        let dyt = grad_output.transpose().expect("rank 2");
-        let gw = dyt.matmul(input).expect("checked dims");
-        self.grad_weight
-            .add_scaled(&gw, 1.0)
-            .expect("gradient shapes match");
+        let step = &mut self.scratch.weight_step;
+        step.resize(out_f * in_f, 0.0);
+        gemm_kn(
+            out_f,
+            in_f,
+            batch,
+            StridedA::transposed(grad_output.data(), out_f),
+            input.data(),
+            BiasMode::None,
+            step,
+        );
+        for (g, &d) in self.grad_weight.data_mut().iter_mut().zip(step.iter()) {
+            *g += d;
+        }
 
         // grad_b += column sums of dy
         let batch = grad_output.shape()[0];
@@ -140,7 +181,9 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        self.infer_with(input, &mut out, &mut GemmScratch::new());
+        let mut gemm = std::mem::take(&mut self.scratch.gemm);
+        self.infer_with(input, &mut out, &mut gemm);
+        self.scratch.gemm = gemm;
         match &mut self.cached_input {
             Some(cached) => cached.copy_from(input),
             None => self.cached_input = Some(input.clone()),
@@ -159,16 +202,34 @@ impl Layer for Dense {
             self.in_features,
             "Dense input feature mismatch"
         );
-        let batch = input.shape()[0];
-        out.reset(&[batch, self.out_features]);
-        // y = x · Wᵀ + b through the tiered GEMM: both operands are
-        // already stored as rows over the contraction dimension, so no
-        // transpose is needed.  At the default Reference tier each element
-        // accumulates k-ascending with the bias added last, so the bits
-        // match `Tensor::matmul` followed by the bias add (exact-zero
-        // activations that matmul skips contribute ±0.0, which cannot
-        // change a +0.0-initialized accumulator); the Fast tier follows
-        // the scratch's precision setting instead.
+        let (batch, in_f, out_f) = (input.shape()[0], self.in_features, self.out_features);
+        out.reset(&[batch, out_f]);
+        // y = x · Wᵀ + b.  At the default Reference tier each element
+        // accumulates k-ascending from +0.0 with the bias added last, so
+        // the bits match `Tensor::matmul` followed by the bias add
+        // (exact-zero activations that matmul skips contribute ±0.0, which
+        // cannot change a +0.0-initialized accumulator); the Fast tier
+        // follows the scratch's precision setting instead.
+        if gemm.precision() == Precision::Reference && batch >= LANES_OVER_BATCH_MIN {
+            // yᵀ = W · xᵀ with SIMD lanes across the batch: W is already
+            // the row-major A, xᵀ the k-major B.
+            let (xt, yt) = gemm.transpose_buffers(in_f * batch, out_f * batch);
+            for (n, x_row) in input.data().chunks_exact(in_f).enumerate() {
+                for (i, &v) in x_row.iter().enumerate() {
+                    xt[i * batch + n] = v;
+                }
+            }
+            let weights = StridedA::row_major(self.weight.data(), in_f);
+            gemm_kn(out_f, batch, in_f, weights, xt, BiasMode::None, yt);
+            for (n, y_row) in out.data_mut().chunks_exact_mut(out_f).enumerate() {
+                for ((y, yt_row), &b) in y_row.iter_mut().zip(yt.chunks_exact(batch)).zip(self.bias.data()) {
+                    *y = yt_row[n] + b;
+                }
+            }
+            return;
+        }
+        // Both operands are already stored as rows over the contraction
+        // dimension, so the scalar tile needs no transpose.
         let (packs, precision) = gemm.packs_precision();
         gemm_nt_with(
             batch,
@@ -185,8 +246,20 @@ impl Layer for Dense {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         self.accumulate_gradients(grad_output);
-        // dx = dy · W   ([batch, out] x [out, in] -> [batch, in])
-        grad_output.matmul(&self.weight).expect("checked dims")
+        // dx = dy · W   ([batch, out] x [out, in] -> [batch, in]); W is
+        // stored [out][in], already the k-major operand.
+        let batch = grad_output.shape()[0];
+        let mut grad_input = Tensor::zeros(&[batch, self.in_features]);
+        gemm_kn(
+            batch,
+            self.in_features,
+            self.out_features,
+            StridedA::row_major(grad_output.data(), self.out_features),
+            self.weight.data(),
+            BiasMode::None,
+            grad_input.data_mut(),
+        );
+        grad_input
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) {
@@ -329,6 +402,50 @@ mod tests {
                     sc.to_bits(),
                     "forward vs scalar at ({in_f},{out_f},{batch}) elem {i}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_matches_matmul_oracle_bitwise() {
+        // The pre-GEMM backward: grad_w += (dyᵀ·x) via add_scaled, and
+        // dx = dy·W, both through `Tensor::matmul` (which skips zero
+        // left-hand entries).
+        let mut r = rng();
+        for &(in_f, out_f, batch) in &[
+            (1usize, 1usize, 1usize),
+            (7, 5, 3),
+            (13, 9, 8),
+            (400, 64, 32),
+            (64, 25, 32),
+            (3, 17, 4),
+        ] {
+            let mut layer = Dense::new(in_f, out_f, &mut r);
+            let mut oracle_gw = Tensor::zeros(&[out_f, in_f]);
+            // Two backward calls without zero_grad: gradients accumulate.
+            for _ in 0..2 {
+                let mut x = Tensor::rand_uniform(&[batch, in_f], -1.0, 1.0, &mut r);
+                let mut dy = Tensor::rand_uniform(&[batch, out_f], -1.0, 1.0, &mut r);
+                for (i, v) in x.data_mut().iter_mut().enumerate().step_by(4) {
+                    *v = if i % 8 == 0 { -0.0 } else { 0.0 };
+                }
+                for (i, v) in dy.data_mut().iter_mut().enumerate().step_by(3) {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let gw = dy.transpose().unwrap().matmul(&x).unwrap();
+                oracle_gw.add_scaled(&gw, 1.0).unwrap();
+                let oracle_dx = dy.matmul(&layer.weight).unwrap();
+
+                layer.forward(&x);
+                let dx = layer.backward(&dy);
+                let at = format!("({in_f},{out_f},{batch})");
+                assert_eq!(dx.shape(), oracle_dx.shape());
+                for (i, (a, e)) in dx.data().iter().zip(oracle_dx.data()).enumerate() {
+                    assert_eq!(a.to_bits(), e.to_bits(), "dx at {at} elem {i}: {a} vs {e}");
+                }
+                for (i, (a, e)) in layer.grad_weight.data().iter().zip(oracle_gw.data()).enumerate() {
+                    assert_eq!(a.to_bits(), e.to_bits(), "dW at {at} elem {i}: {a} vs {e}");
+                }
             }
         }
     }

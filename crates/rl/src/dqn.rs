@@ -18,6 +18,7 @@ use berry_nn::optim::{Adam, Optimizer};
 use berry_nn::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hyper-parameters of the DQN agent.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -195,8 +196,19 @@ pub struct DqnAgent {
     num_actions: usize,
     observation_shape: Vec<usize>,
     train_steps: u64,
+    /// Stamp of the target network's current weights; see
+    /// [`DqnAgent::target_generation`].
+    target_generation: u64,
     /// Reused inference buffers of the target network's `Q(s′)`.
     td_scratch: InferScratch,
+}
+
+/// A stamp no target network in this process has carried before.
+fn next_target_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // Relaxed: the stamp publishes no data, and `fetch_add` alone makes
+    // every value unique.
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl DqnAgent {
@@ -225,6 +237,7 @@ impl DqnAgent {
             num_actions,
             observation_shape: observation_shape.to_vec(),
             train_steps: 0,
+            target_generation: next_target_generation(),
             td_scratch: InferScratch::new(),
         })
     }
@@ -264,15 +277,28 @@ impl DqnAgent {
         &self.target_net
     }
 
-    /// Mutable borrow of the target network.
+    /// Mutable borrow of the target network.  Counts as a change of the
+    /// target weights (see [`DqnAgent::target_generation`]).
     pub fn target_net_mut(&mut self) -> &mut Sequential {
+        self.target_generation = next_target_generation();
         &mut self.target_net
     }
 
-    /// Simultaneous mutable borrows of the Q-network and the target network
-    /// (needed by trainers that run [`accumulate_td_gradients`] themselves).
-    pub fn nets_mut(&mut self) -> (&mut Sequential, &mut Sequential) {
-        (&mut self.q_net, &mut self.target_net)
+    /// The Q-network mutably and the target network immutably at once —
+    /// what trainers that run [`accumulate_td_gradients`] themselves need.
+    pub fn q_net_mut_with_target(&mut self) -> (&mut Sequential, &Sequential) {
+        (&mut self.q_net, &self.target_net)
+    }
+
+    /// A stamp of the target network's weights, unique within the process:
+    /// it changes whenever the target may have changed
+    /// ([`DqnAgent::sync_target`], [`DqnAgent::load_weights`],
+    /// [`DqnAgent::target_net_mut`]) and is shared only by agents whose
+    /// targets are equal (a clone keeps it until either side changes its
+    /// target).  Caches derived from the target — such as its quantized
+    /// image — stay valid while the stamp does.
+    pub fn target_generation(&self) -> u64 {
+        self.target_generation
     }
 
     /// Replaces the Q-network weights (used when loading a trained policy).
@@ -282,6 +308,7 @@ impl DqnAgent {
     /// Returns an error if the weight buffer does not match the network.
     pub fn load_weights(&mut self, weights: &[f32]) -> Result<f32> {
         self.q_net.load_flat_weights(weights)?;
+        self.target_generation = next_target_generation();
         self.target_net.copy_params_from(&self.q_net)?;
         Ok(0.0)
     }
@@ -387,6 +414,7 @@ impl DqnAgent {
     /// Copies the Q-network parameters into the target network
     /// (θ⁻ ← θ, Algorithm 1 line 21).
     pub fn sync_target(&mut self) {
+        self.target_generation = next_target_generation();
         self.target_net
             .copy_params_from(&self.q_net)
             .expect("networks share a structure by construction");
@@ -603,6 +631,35 @@ mod tests {
             agent.train_on_batch(&bad_shape),
             Err(RlError::ObservationShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn target_generation_changes_exactly_when_the_target_may_change() {
+        let mut agent = small_agent(12);
+        let other = small_agent(12);
+        assert_ne!(agent.target_generation(), other.target_generation());
+        let start = agent.target_generation();
+        let batch: Vec<Transition> = (0..8)
+            .map(|i| transition(vec![i as f32 / 8.0, 0.5], i % 3, 1.0, vec![0.1, 0.2], i == 7))
+            .collect();
+        // Steps 1..9 leave the target alone; the 10th syncs it.
+        for _ in 0..9 {
+            agent.train_on_batch(&batch).unwrap();
+        }
+        let _ = agent.q_net_mut_with_target();
+        assert_eq!(agent.target_generation(), start);
+        let clone = agent.clone();
+        assert_eq!(clone.target_generation(), start);
+        agent.train_on_batch(&batch).unwrap();
+        let synced = agent.target_generation();
+        assert_ne!(synced, start);
+        let _ = agent.target_net_mut();
+        assert_ne!(agent.target_generation(), synced);
+        let before_load = agent.target_generation();
+        let weights = agent.q_net().to_flat_weights();
+        agent.load_weights(&weights).unwrap();
+        assert_ne!(agent.target_generation(), before_load);
+        assert_eq!(clone.target_generation(), start);
     }
 
     #[test]
