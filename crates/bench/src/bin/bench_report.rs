@@ -23,10 +23,13 @@
 //!   (`berry_update_step_with_scratch`) on an ε = 1 Quick replay — the
 //!   calls that make up nearly all of a Quick campaign's wall-clock;
 //! * **Reference kernels** — GFLOP/s of the Reference tier's two GEMM
-//!   kernels on the per-sample conv2/conv3 training shapes of C3F2: the
-//!   scalar register tile (`gemm_nt`) and the lanes-across-outputs kernel
-//!   (`gemm_kn`) on the detected backend and on its portable fallback
-//!   (same products, same bits), plus C3F2 `infer_into` at batch 1 and 8;
+//!   kernels on the per-sample conv2/conv3 shapes of C3F2 (what inference
+//!   below batch 16 runs): the scalar register tile (`gemm_nt`) and the
+//!   lanes-across-outputs kernel (`gemm_kn`) on the detected backend and
+//!   on its portable fallback (same products, same bits); the C3F2
+//!   convolutions' lanes-across-the-batch passes — forward, dW and dX at
+//!   batch 32, `infer_with` at batch 8, 16 and 32 — in µs; and C3F2
+//!   `infer_into` at batch 1 and 8;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
 //!   once under the legacy contiguous partition and once under the
@@ -71,7 +74,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 14;
+const PR: u32 = 15;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -365,6 +368,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("kernels  {name:<32} {gflops:>7.2} GFLOP/s");
         let _ = writeln!(json, "    \"{name}\": {gflops:.3},");
     }
+    for (name, us) in conv_pass_us() {
+        println!("kernels  {name:<32} {us:>7.2} µs");
+        let _ = writeln!(json, "    \"{name}\": {us:.2},");
+    }
     let mut infer_scratch = InferScratch::new();
     let mut infer_rows = Vec::new();
     for batch in [1usize, 8] {
@@ -503,6 +510,18 @@ fn median_ms<F: FnMut()>(mut f: F) -> f64 {
     )
 }
 
+/// Median µs per call of `f`, timed in samples of 20 calls (so a sample
+/// spans ≥ ~1 ms) with [`median_ms`].
+fn median_call_us<F: FnMut()>(mut f: F) -> f64 {
+    const CALLS: usize = 20;
+    median_ms(|| {
+        for _ in 0..CALLS {
+            f();
+        }
+    }) * 1e3
+        / CALLS as f64
+}
+
 /// The training section: `forward` / `backward` of C3F2 and C5F4 at batch
 /// 32, then one C3F2 Classical update and one BERRY dual-pass update at
 /// the Quick `DqnConfig` on an ε = 1 Quick replay.
@@ -620,6 +639,41 @@ fn reference_kernel_gflops() -> Vec<(String, f64)> {
         rows.push((format!("{name}_scalar_tile"), tile));
         rows.push((format!("{name}_lanes"), simd));
         rows.push((format!("{name}_lanes_portable"), portable));
+    }
+    rows
+}
+
+/// Median µs of the C3F2 convolutions' passes: `forward`,
+/// `backward_params` (dW and the bias gradient) and the dX share of
+/// `backward` (its median less `backward_params`') at batch 32, all with
+/// lanes across the batch, and Reference `infer_with` at batch 8 (the
+/// per-sample path), 16 and 32 (lanes across the batch).
+fn conv_pass_us() -> Vec<(String, f64)> {
+    let mut r = StdRng::seed_from_u64(23);
+    let mut rows = Vec::new();
+    // (in, out, stride) over the 2×9×9 observation, as QNetworkSpec::C3F2.
+    for (index, (ic, oc, stride, size)) in [(2usize, 8usize, 1usize, 9usize), (8, 16, 2, 9), (16, 16, 1, 5)]
+        .into_iter()
+        .enumerate()
+    {
+        let name = format!("c3f2_conv{}", index + 1);
+        let mut conv = Conv2d::new(ic, oc, 3, stride, 1, &mut r);
+        let x = Tensor::rand_uniform(&[32, ic, size, size], -1.0, 1.0, &mut r);
+        let out = conv.output_size(size);
+        let go = Tensor::rand_uniform(&[32, oc, out, out], -1.0, 1.0, &mut r);
+        let forward = median_call_us(|| drop(std::hint::black_box(conv.forward(&x))));
+        let dw = median_call_us(|| conv.backward_params(&go));
+        let backward = median_call_us(|| drop(std::hint::black_box(conv.backward(&go))));
+        rows.push((format!("{name}_b32_forward_us"), forward));
+        rows.push((format!("{name}_b32_dw_us"), dw));
+        rows.push((format!("{name}_b32_dx_us"), (backward - dw).max(0.0)));
+        let mut gemm = GemmScratch::new();
+        let mut y = Tensor::default();
+        for batch in [8usize, 16, 32] {
+            let xb = Tensor::rand_uniform(&[batch, ic, size, size], -1.0, 1.0, &mut r);
+            let infer = median_call_us(|| conv.infer_with(&xb, &mut y, &mut gemm));
+            rows.push((format!("{name}_infer_b{batch}_us"), infer));
+        }
     }
     rows
 }

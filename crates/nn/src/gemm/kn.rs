@@ -15,6 +15,12 @@
 //! [`BiasMode`]s are applied around that core by [`gemm_kn`] as the
 //! starting value (`None`, `RowInit`) or a final add (`ColAfter`), which
 //! is where the scalar kernels apply them too.
+//!
+//! [`gemm_kn`] takes dense operands.  Inside the crate the same kernel
+//! also reads operands through offset tables ([`KnOperands`]), which is
+//! how the convolution runs its batch-lane passes on windows of its
+//! zero-bordered input and output-gradient buffers without copying them
+//! out first.
 
 // lint: pinned-path — reductions here feed golden-pinned statistics; use berry_nn::reduce helpers
 
@@ -54,6 +60,71 @@ impl<'a> StridedA<'a> {
             col_stride: m,
         }
     }
+}
+
+/// Element offsets along one axis of a kernel operand: index `i` lies
+/// `at(i)` elements past the operand's start.  A [`Stride`] is the dense
+/// case; an offset table (`&[usize]`) lets the kernel read operands that
+/// are windows of a larger buffer — the convolution's zero-bordered,
+/// batch-innermost planes — in place, without an unrolling copy.
+///
+/// For every `i < len`, `at(i)` must not exceed `last(len)`: the AVX2
+/// kernel bounds its unchecked reads by `last` alone.
+pub(crate) trait Offsets: Copy {
+    /// The offset of index `i`.
+    fn at(self, i: usize) -> usize;
+
+    /// The largest offset of indices `0..len` (`len ≥ 1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table holds fewer than `len` entries.
+    fn last(self, len: usize) -> usize;
+}
+
+/// Evenly spaced offsets: index `i` at `i·stride`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stride(pub(crate) usize);
+
+impl Offsets for Stride {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        i * self.0
+    }
+
+    fn last(self, len: usize) -> usize {
+        (len - 1) * self.0
+    }
+}
+
+impl Offsets for &[usize] {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        self[i]
+    }
+
+    fn last(self, len: usize) -> usize {
+        self[..len].iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// The operands of one `C = bias ⊕ A·B` call of the lanes kernel, each
+/// addressed through [`Offsets`]:
+///
+/// * `A(i, p) = a[a_rows.at(i) + a_cols.at(p)]`;
+/// * row `p` of `B` is the `n` consecutive elements at `b[b_rows.at(p)..]`;
+/// * row `i` of `C` is the `n` consecutive elements at `c[i·ldc..]`.
+///
+/// [`gemm_kn`] is the dense special case: strided `A`, `B` rows `n`
+/// apart and `ldc = n`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KnOperands<'a, AR, AC, BR> {
+    pub(crate) a: &'a [f32],
+    pub(crate) a_rows: AR,
+    pub(crate) a_cols: AC,
+    pub(crate) b: &'a [f32],
+    pub(crate) b_rows: BR,
+    pub(crate) ldc: usize,
 }
 
 /// `C[i][j] = bias ⊕ Σₚ A(i, p) · B[p][j]` over a strided `A` (`m×k`),
@@ -99,60 +170,99 @@ pub fn gemm_kn_with_backend(
     c: &mut [f32],
     backend: FastBackend,
 ) {
-    check_kn_shapes(m, n, k, &a, b, &bias, c);
+    let ops = KnOperands {
+        a: a.data,
+        a_rows: Stride(a.row_stride),
+        a_cols: Stride(a.col_stride),
+        b,
+        b_rows: Stride(n),
+        ldc: n,
+    };
+    gemm_kn_at(m, n, k, &ops, bias, c, backend);
+}
+
+/// [`gemm_kn_with_backend`] over operands addressed through offset
+/// tables or strides (see [`KnOperands`]): the same kernel, the same
+/// per-element order, the same bits.  `C`'s rows may lie `ldc ≥ n`
+/// apart; elements between them are left untouched.
+///
+/// # Panics
+///
+/// Panics if an offset reaches past its slice, if `ldc < n`, or if the
+/// bias is shorter than its extent.
+pub(crate) fn gemm_kn_at<AR: Offsets, AC: Offsets, BR: Offsets>(
+    m: usize,
+    n: usize,
+    k: usize,
+    ops: &KnOperands<AR, AC, BR>,
+    bias: BiasMode,
+    c: &mut [f32],
+    backend: FastBackend,
+) {
+    check_kn_shapes(m, n, k, ops, &bias, c);
     if m == 0 || n == 0 {
         return;
     }
-    let c = &mut c[..m * n];
+    let ldc = ops.ldc;
+    let rows = || (0..m).map(move |i| i * ldc..i * ldc + n);
     match bias {
-        BiasMode::None | BiasMode::ColAfter(_) => c.fill(0.0),
+        BiasMode::None | BiasMode::ColAfter(_) => {
+            for row in rows() {
+                c[row].fill(0.0);
+            }
+        }
         BiasMode::RowInit(bias) => {
-            for (row, &b0) in c.chunks_exact_mut(n).zip(bias) {
-                row.fill(b0);
+            for (row, &b0) in rows().zip(bias) {
+                c[row].fill(b0);
             }
         }
         BiasMode::Accumulate => {}
     }
-    accumulate(m, n, k, &a, b, c, backend);
+    accumulate(m, n, k, ops, c, backend);
     if let BiasMode::ColAfter(bias) = bias {
-        for row in c.chunks_exact_mut(n) {
-            for (v, &b0) in row.iter_mut().zip(bias) {
+        for row in rows() {
+            for (v, &b0) in c[row].iter_mut().zip(bias) {
                 *v += b0;
             }
         }
     }
 }
 
-/// Validates every slice against the `m`/`n`/`k` extents.
-fn check_kn_shapes(
+/// Validates every operand's reach against the `m`/`n`/`k` extents.
+fn check_kn_shapes<AR: Offsets, AC: Offsets, BR: Offsets>(
     m: usize,
     n: usize,
     k: usize,
-    a: &StridedA,
-    b: &[f32],
+    ops: &KnOperands<AR, AC, BR>,
     bias: &BiasMode,
     c: &[f32],
 ) {
     if m > 0 && k > 0 {
-        let last = (m - 1) * a.row_stride + (k - 1) * a.col_stride;
+        let last = ops.a_rows.last(m) + ops.a_cols.last(k);
         assert!(
-            last < a.data.len(),
+            last < ops.a.len(),
             "gemm_kn: A holds {} elements but its {m}×{k} view reaches index {last}",
-            a.data.len()
+            ops.a.len()
         );
     }
-    assert!(
-        b.len() >= k * n,
-        "gemm_kn: B holds {} elements but k×n = {k}×{n} requires {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        c.len() >= m * n,
-        "gemm_kn: C holds {} elements but m×n = {m}×{n} requires {}",
-        c.len(),
-        m * n
-    );
+    if n > 0 && k > 0 {
+        let end = ops.b_rows.last(k) + n;
+        assert!(
+            end <= ops.b.len(),
+            "gemm_kn: B holds {} elements but its k×n = {k}×{n} view reaches index {}",
+            ops.b.len(),
+            end - 1
+        );
+    }
+    if m > 0 && n > 0 {
+        assert!(ops.ldc >= n, "gemm_kn: C rows {} apart overlap their {n} columns", ops.ldc);
+        let end = (m - 1) * ops.ldc + n;
+        assert!(
+            c.len() >= end,
+            "gemm_kn: C holds {} elements but m×n = {m}×{n} requires {end}",
+            c.len()
+        );
+    }
     match bias {
         BiasMode::RowInit(bias) => assert!(bias.len() >= m, "gemm_kn: row bias shorter than m"),
         BiasMode::ColAfter(bias) => assert!(bias.len() >= n, "gemm_kn: column bias shorter than n"),
@@ -160,20 +270,19 @@ fn check_kn_shapes(
     }
 }
 
-/// `C += A·B` on the chosen backend.
-fn accumulate(
+/// `C += A·B` on the chosen backend; `m`, `n` ≥ 1 and the extents checked.
+fn accumulate<AR: Offsets, AC: Offsets, BR: Offsets>(
     m: usize,
     n: usize,
     k: usize,
-    a: &StridedA,
-    b: &[f32],
+    ops: &KnOperands<AR, AC, BR>,
     c: &mut [f32],
     backend: FastBackend,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         if backend == FastBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            super::simd_avx2::kn_accumulate_at(m, n, k, a.data, a.row_stride, a.col_stride, b, c);
+            super::simd_avx2::kn_accumulate_at(m, n, k, ops, c);
             return;
         }
     }
@@ -184,12 +293,12 @@ fn accumulate(
         let mut j0 = 0;
         while j0 < n {
             let cols = PORTABLE_COLS.min(n - j0);
-            let at = Tile { i0, j0, n, k };
+            let at = Tile { i0, j0, k };
             match rows {
-                4 => at.columns::<4>(cols, a, b, c),
-                3 => at.columns::<3>(cols, a, b, c),
-                2 => at.columns::<2>(cols, a, b, c),
-                _ => at.columns::<1>(cols, a, b, c),
+                4 => at.columns::<4, _, _, _>(cols, ops, c),
+                3 => at.columns::<3, _, _, _>(cols, ops, c),
+                2 => at.columns::<2, _, _, _>(cols, ops, c),
+                _ => at.columns::<1, _, _, _>(cols, ops, c),
             }
             j0 += PORTABLE_COLS;
         }
@@ -207,7 +316,6 @@ const PORTABLE_COLS: usize = 8;
 struct Tile {
     i0: usize,
     j0: usize,
-    n: usize,
     k: usize,
 }
 
@@ -215,33 +323,46 @@ impl Tile {
     /// Dispatches to the tile's column count (`cols` ≤ [`PORTABLE_COLS`]),
     /// so every tile runs with a compile-time width.
     #[inline]
-    fn columns<const R: usize>(&self, cols: usize, a: &StridedA, b: &[f32], c: &mut [f32]) {
+    fn columns<const R: usize, AR: Offsets, AC: Offsets, BR: Offsets>(
+        &self,
+        cols: usize,
+        ops: &KnOperands<AR, AC, BR>,
+        c: &mut [f32],
+    ) {
         match cols {
-            8 => self.accumulate::<R, 8>(a, b, c),
-            7 => self.accumulate::<R, 7>(a, b, c),
-            6 => self.accumulate::<R, 6>(a, b, c),
-            5 => self.accumulate::<R, 5>(a, b, c),
-            4 => self.accumulate::<R, 4>(a, b, c),
-            3 => self.accumulate::<R, 3>(a, b, c),
-            2 => self.accumulate::<R, 2>(a, b, c),
-            _ => self.accumulate::<R, 1>(a, b, c),
+            8 => self.accumulate::<R, 8, _, _, _>(ops, c),
+            7 => self.accumulate::<R, 7, _, _, _>(ops, c),
+            6 => self.accumulate::<R, 6, _, _, _>(ops, c),
+            5 => self.accumulate::<R, 5, _, _, _>(ops, c),
+            4 => self.accumulate::<R, 4, _, _, _>(ops, c),
+            3 => self.accumulate::<R, 3, _, _, _>(ops, c),
+            2 => self.accumulate::<R, 2, _, _, _>(ops, c),
+            _ => self.accumulate::<R, 1, _, _, _>(ops, c),
         }
     }
 
     #[inline]
-    fn accumulate<const R: usize, const C: usize>(&self, a: &StridedA, b: &[f32], c: &mut [f32]) {
-        let Tile { i0, j0, n, k } = *self;
+    fn accumulate<const R: usize, const C: usize, AR: Offsets, AC: Offsets, BR: Offsets>(
+        &self,
+        ops: &KnOperands<AR, AC, BR>,
+        c: &mut [f32],
+    ) {
+        let Tile { i0, j0, k } = *self;
+        let ldc = ops.ldc;
+        let a_rows: [usize; R] = std::array::from_fn(|r| ops.a_rows.at(i0 + r));
         let mut acc = [[0.0f32; C]; R];
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let at = (i0 + r) * n + j0;
+            let at = (i0 + r) * ldc + j0;
             acc_row.copy_from_slice(&c[at..at + C]);
         }
         for p in 0..k {
-            let b_row: &[f32; C] = b[p * n + j0..p * n + j0 + C]
+            let b_at = ops.b_rows.at(p) + j0;
+            let b_row: &[f32; C] = ops.b[b_at..b_at + C]
                 .try_into()
                 .expect("a tile's B row holds C columns");
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let av = a.data[(i0 + r) * a.row_stride + p * a.col_stride];
+            let a_col = ops.a_cols.at(p);
+            for (acc_row, &a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = ops.a[a_row + a_col];
                 for (accv, &bv) in acc_row.iter_mut().zip(b_row) {
                     // Separate mul + add, as in every Reference kernel.
                     *accv += av * bv;
@@ -249,7 +370,7 @@ impl Tile {
             }
         }
         for (r, acc_row) in acc.iter().enumerate() {
-            let at = (i0 + r) * n + j0;
+            let at = (i0 + r) * ldc + j0;
             c[at..at + C].copy_from_slice(acc_row);
         }
     }

@@ -9,8 +9,9 @@
 //!   at small batches, the Fast tier's entry point);
 //! * [`gemm_kn`] — `C = A · B` with `B` stored k-major (`[k][n]`) and a
 //!   strided `A`, vectorized with SIMD lanes across *output columns*
-//!   (the convolution's forward, dW and dX, dense backward, and dense
-//!   forward at batch ≥ 8).
+//!   (the convolution's forward, dW and dX — whose batch-lane passes
+//!   address its operands through offset tables — dense backward, and
+//!   dense forward at batch ≥ 8).
 //!
 //! This is what makes the batched lockstep rollout engine pay a *single*
 //! well-optimized forward pass per timestep for all concurrent episode
@@ -84,7 +85,10 @@ mod kn;
 mod simd_avx2;
 #[cfg(target_arch = "aarch64")]
 mod simd_neon;
+mod transpose;
 
+pub(crate) use kn::{gemm_kn_at, KnOperands, Stride};
+pub(crate) use transpose::transpose_rows;
 pub use kn::{gemm_kn, gemm_kn_with_backend, StridedA};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -854,7 +858,7 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -958,6 +962,114 @@ mod tests {
                                 y.to_bits(),
                                 "({m},{n},{k}) {bias:?} {backend:?} {layout} element {i}: {x} vs {y}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kn_kernel_reads_offset_table_operands_bitwise_on_every_backend() {
+        // The addressing the convolution's batch-lane passes use — `B` rows
+        // from an offset table with a strided `A` (forward, dX), and `A`
+        // rows and columns from tables with strided `B` (dW) — scattered
+        // through larger buffers, with `C` rows `ldc > n` apart.  Fringe
+        // rows (m % 4), fringe columns (n % 8), k = 1, every bias mode,
+        // `Accumulate` from a random prior C, and ±0.0 operands.
+        let mut r = rng(12);
+        let shuffled = |len: usize, r: &mut rand::rngs::StdRng| {
+            let mut v: Vec<usize> = (0..len).collect();
+            for i in (1..len).rev() {
+                v.swap(i, r.gen_range(0..i + 1));
+            }
+            v
+        };
+        let signed_zeros = |v: &mut Vec<f32>, every: usize| {
+            for (i, x) in v.iter_mut().enumerate().step_by(every) {
+                *x = if i % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        };
+        for &(m, n, k) in &[
+            (1usize, 1usize, 1usize),
+            (3, 8, 1),
+            (4, 9, 7),
+            (5, 17, 18),
+            (7, 24, 25),
+            (8, 32, 72),
+            (13, 5, 33),
+            (16, 288, 18),
+        ] {
+            // A scattered: rows `k + 3` apart in shuffled order, columns at
+            // shuffled positions within a row.
+            let mut a_pool = rand_vec(m * (k + 3), &mut r);
+            signed_zeros(&mut a_pool, 3);
+            let a_rows: Vec<usize> = shuffled(m, &mut r).iter().map(|&i| i * (k + 3)).collect();
+            let a_cols = shuffled(k, &mut r);
+            let a: Vec<f32> = (0..m * k).map(|at| a_pool[a_rows[at / k] + a_cols[at % k]]).collect();
+            // B rows `n + 5` apart in shuffled order, 2 elements in.
+            let mut b_pool = rand_vec(k * (n + 5) + 2, &mut r);
+            signed_zeros(&mut b_pool, 5);
+            let b_rows: Vec<usize> = shuffled(k, &mut r).iter().map(|&p| p * (n + 5) + 2).collect();
+            let b_kn: Vec<f32> = (0..k * n).map(|at| b_pool[b_rows[at / n] + at % n]).collect();
+            let b_nt: Vec<f32> = (0..n * k).map(|at| b_kn[(at % k) * n + at / k]).collect();
+            let mut row_bias = rand_vec(m, &mut r);
+            row_bias[0] = -0.0;
+            let col_bias = rand_vec(n, &mut r);
+            let mut c_prior = rand_vec(m * n, &mut r);
+            signed_zeros(&mut c_prior, 4);
+            let ldc = n + 3;
+            for bias in [
+                BiasMode::None,
+                BiasMode::RowInit(&row_bias),
+                BiasMode::ColAfter(&col_bias),
+                BiasMode::Accumulate,
+            ] {
+                let mut c_ref = c_prior.clone();
+                gemm_nt_reference(m, n, k, &a, &b_nt, bias, &mut c_ref);
+                for backend in [FastBackend::Avx2, FastBackend::Scalar] {
+                    let strided_a = KnOperands {
+                        a: &a,
+                        a_rows: Stride(k),
+                        a_cols: Stride(1),
+                        b: &b_pool,
+                        b_rows: &b_rows[..],
+                        ldc,
+                    };
+                    let tabled_a = KnOperands {
+                        a: &a_pool,
+                        a_rows: &a_rows[..],
+                        a_cols: &a_cols[..],
+                        b: &b_kn,
+                        b_rows: Stride(n),
+                        ldc,
+                    };
+                    let mut outs = Vec::new();
+                    for layout in ["table B", "table A"] {
+                        let mut c = vec![f32::NAN; (m - 1) * ldc + n + 2];
+                        for (i, row) in c_prior.chunks_exact(n).enumerate() {
+                            c[i * ldc..i * ldc + n].copy_from_slice(row);
+                        }
+                        if layout == "table B" {
+                            gemm_kn_at(m, n, k, &strided_a, bias, &mut c, backend);
+                        } else {
+                            gemm_kn_at(m, n, k, &tabled_a, bias, &mut c, backend);
+                        }
+                        outs.push((layout, c));
+                    }
+                    for (layout, c) in outs {
+                        for i in 0..m {
+                            for j in 0..n {
+                                let (x, y) = (c[i * ldc + j], c_ref[i * n + j]);
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "({m},{n},{k}) {bias:?} {backend:?} {layout} element ({i},{j}): {x} vs {y}"
+                                );
+                            }
+                            // Between C's rows nothing is written.
+                            let gap = (i * ldc + n..((i + 1) * ldc).min(c.len())).map(|at| c[at]);
+                            assert!(gap.into_iter().all(f32::is_nan), "{layout}: row gap written");
                         }
                     }
                 }

@@ -9,6 +9,9 @@
 //!   are added in ascending order by a `vmulps` then a `vaddps`, never
 //!   fused, so every lane replays the scalar kernel's rounding sequence.
 //!
+//! * **Layout** — the 8×8 block transpose of [`super::transpose`]: pure
+//!   data movement, no arithmetic.
+//!
 //! This module is the crate's only x86 unsafe surface (with its NEON
 //! twin); the crate root demotes `forbid(unsafe_code)` to `deny` solely
 //! so these two leaf modules can opt in.  All pointer arithmetic is
@@ -17,12 +20,13 @@
 #![allow(unsafe_code)]
 
 use super::fast::{KR, MR_F, NR_F};
-use super::kn::{MR_K, NR_K};
+use super::kn::{KnOperands, Offsets, MR_K, NR_K};
 use std::arch::x86_64::{
     __m128, __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32,
     _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps,
-    _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-    _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps,
+    _mm256_maskstore_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_epi32,
+    _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+    _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps,
     _mm_unpackhi_ps, _mm_unpacklo_ps,
 };
 
@@ -149,34 +153,32 @@ unsafe fn reduce_row(acc_row: &[__m256; NR_F]) -> __m128 {
 }
 
 /// Safe entry of the Reference tier's lanes-across-outputs kernel:
-/// `C[i][j] += Σₚ A[i·rs + p·cs] · B[p·n + j]` for row-major `B` (`k×n`)
-/// and `C` (`m×n`), each element's terms added in ascending `p`.  All
-/// unsafe preconditions are discharged here: the operand extents by
-/// assertion, AVX2 by (cached) runtime detection.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn kn_accumulate_at(
+/// `C[i][j] += Σₚ A(i, p) · B[p][j]` over the operands `ops` addresses
+/// (see [`KnOperands`]), each element's terms added in ascending `p`.  All
+/// unsafe preconditions are discharged here: the operands' reach by
+/// assertion over their offsets, AVX2 by (cached) runtime detection.
+pub(crate) fn kn_accumulate_at<AR: Offsets, AC: Offsets, BR: Offsets>(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
-    rs: usize,
-    cs: usize,
-    b: &[f32],
+    ops: &KnOperands<AR, AC, BR>,
     c: &mut [f32],
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    assert!((m - 1) * rs + (k - 1) * cs < a.len());
-    assert!(b.len() >= k * n);
-    assert!(c.len() >= m * n);
+    assert!(ops.a_rows.last(m) + ops.a_cols.last(k) < ops.a.len());
+    assert!(ops.b_rows.last(k) + n <= ops.b.len());
+    assert!(ops.ldc >= n && (m - 1) * ops.ldc + n <= c.len());
     assert!(
         std::arch::is_x86_feature_detected!("avx2"),
         "AVX2 backend selected on a CPU without avx2"
     );
     // SAFETY: the asserts above bound every `A`, `B` and `C` access of the
-    // sweep and guarantee the required target feature is present.
-    unsafe { kn_accumulate(m, n, k, a.as_ptr(), rs, cs, b.as_ptr(), c.as_mut_ptr()) }
+    // sweep — every offset the tables or strides yield for `i < m`,
+    // `p < k` is at most their asserted maxima — and guarantee the
+    // required target feature is present.
+    unsafe { kn_accumulate(m, n, k, ops, c.as_mut_ptr()) }
 }
 
 /// Sweeps `MR_K × NR_K` register tiles over `C`; fringe tiles keep fewer
@@ -185,18 +187,16 @@ pub(crate) fn kn_accumulate_at(
 /// # Safety
 ///
 /// The caller must guarantee AVX2 is available, `m`, `n`, `k` ≥ 1, that
-/// `a` is readable at every `i·rs + p·cs` (`i < m`, `p < k`), `b` at
-/// `k·n` and `c` readable and writable at `m·n` consecutive `f32`s.
+/// `ops.a` is readable at every `a_rows.at(i) + a_cols.at(p)` (`i < m`,
+/// `p < k`), `ops.b` at `n` consecutive `f32`s from every `b_rows.at(p)`,
+/// and `c` readable and writable at `n` consecutive `f32`s from every
+/// `i·ldc`.
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn kn_accumulate(
+unsafe fn kn_accumulate<AR: Offsets, AC: Offsets, BR: Offsets>(
     m: usize,
     n: usize,
     k: usize,
-    a: *const f32,
-    rs: usize,
-    cs: usize,
-    b: *const f32,
+    ops: &KnOperands<AR, AC, BR>,
     c: *mut f32,
 ) {
     let mut i0 = 0;
@@ -214,12 +214,10 @@ unsafe fn kn_accumulate(
             );
             let t = KnTile {
                 k,
-                a: a.add(i0 * rs),
-                rs,
-                cs,
-                b: b.add(j0),
-                n,
-                c: c.add(i0 * n + j0),
+                i0,
+                j0,
+                ops,
+                c: c.add(i0 * ops.ldc + j0),
                 mask,
             };
             match (rows, cols > 8, tail == 8) {
@@ -246,20 +244,18 @@ unsafe fn kn_accumulate(
     }
 }
 
-/// One register tile of [`kn_accumulate`]: `a` at the tile's first row,
-/// `b` and `c` at its first column.
-struct KnTile {
+/// One register tile of [`kn_accumulate`]: rows from `i0`, columns from
+/// `j0`, `c` at the tile's first element.
+struct KnTile<'o, 'a, AR, AC, BR> {
     k: usize,
-    a: *const f32,
-    rs: usize,
-    cs: usize,
-    b: *const f32,
-    n: usize,
+    i0: usize,
+    j0: usize,
+    ops: &'o KnOperands<'a, AR, AC, BR>,
     c: *mut f32,
     mask: __m256i,
 }
 
-impl KnTile {
+impl<AR: Offsets, AC: Offsets, BR: Offsets> KnTile<'_, '_, AR, AC, BR> {
     /// `R` rows × `V` vectors of accumulators held in registers across
     /// the whole `k` sweep; when `MASKED`, the last vector covers only the
     /// lanes of `mask`.
@@ -271,10 +267,13 @@ impl KnTile {
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn run<const R: usize, const V: usize, const MASKED: bool>(&self) {
-        let (n, mask) = (self.n, self.mask);
+        let (ops, ldc, mask) = (self.ops, self.ops.ldc, self.mask);
+        let a = ops.a.as_ptr();
+        let b = ops.b.as_ptr().add(self.j0);
+        let a_rows: [usize; R] = std::array::from_fn(|r| ops.a_rows.at(self.i0 + r));
         let mut acc = [[_mm256_setzero_ps(); V]; R];
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let c_row = self.c.add(r * n);
+            let c_row = self.c.add(r * ldc);
             for (v, accv) in acc_row.iter_mut().enumerate() {
                 *accv = if MASKED && v == V - 1 {
                     _mm256_maskload_ps(c_row.add(8 * v), mask)
@@ -284,7 +283,7 @@ impl KnTile {
             }
         }
         for p in 0..self.k {
-            let b_row = self.b.add(p * n);
+            let b_row = b.add(ops.b_rows.at(p));
             let mut bv = [_mm256_setzero_ps(); V];
             for (v, bvv) in bv.iter_mut().enumerate() {
                 *bvv = if MASKED && v == V - 1 {
@@ -293,9 +292,9 @@ impl KnTile {
                     _mm256_loadu_ps(b_row.add(8 * v))
                 };
             }
-            let a_col = self.a.add(p * self.cs);
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*a_col.add(r * self.rs));
+            let a_col = a.add(ops.a_cols.at(p));
+            for (acc_row, &a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = _mm256_set1_ps(*a_col.add(a_row));
                 for (accv, &bvv) in acc_row.iter_mut().zip(bv.iter()) {
                     // Separate multiply and add: the scalar kernel's two
                     // roundings per term, in every lane.
@@ -304,7 +303,7 @@ impl KnTile {
             }
         }
         for (r, acc_row) in acc.iter().enumerate() {
-            let c_row = self.c.add(r * n);
+            let c_row = self.c.add(r * ldc);
             for (v, &accv) in acc_row.iter().enumerate() {
                 if MASKED && v == V - 1 {
                     _mm256_maskstore_ps(c_row.add(8 * v), mask, accv);
@@ -313,5 +312,64 @@ impl KnTile {
                 }
             }
         }
+    }
+}
+
+/// Safe entry of the 8×8 block transpose: `dst[at[t] + i0 + i] =
+/// src[i·src_stride + t]` for `i`, `t < 8`.  The reach of every read and
+/// write is asserted here, AVX2 by (cached) runtime detection.
+pub(crate) fn transpose8_at(src: &[f32], src_stride: usize, dst: &mut [f32], at: &[usize; 8], i0: usize) {
+    assert!(7 * src_stride + 8 <= src.len());
+    assert!(at.iter().all(|&a| a + i0 + 8 <= dst.len()));
+    assert!(
+        std::arch::is_x86_feature_detected!("avx"),
+        "AVX2 backend selected on a CPU without avx"
+    );
+    // SAFETY: the asserts above bound all eight row reads and all eight
+    // row writes, and guarantee the required target feature is present.
+    unsafe { transpose8(src.as_ptr(), src_stride, dst.as_mut_ptr().add(i0), at) }
+}
+
+/// Loads eight rows, transposes them in registers (unpack, shuffle, then
+/// 128-bit lane swap) and stores column `t` at `dst + at[t]`.
+///
+/// # Safety
+///
+/// The caller must guarantee AVX is available, that `src` is readable at
+/// eight consecutive `f32`s from every `i·src_stride` (`i < 8`) and `dst`
+/// writable at eight from every `at[t]`.
+#[target_feature(enable = "avx")]
+unsafe fn transpose8(src: *const f32, src_stride: usize, dst: *mut f32, at: &[usize; 8]) {
+    let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(src.add(i * src_stride)));
+    // Pairs of rows interleaved: [r0₀ r1₀ r0₁ r1₁ | r0₄ r1₄ r0₅ r1₅], …
+    let lo01 = _mm256_unpacklo_ps(r[0], r[1]);
+    let hi01 = _mm256_unpackhi_ps(r[0], r[1]);
+    let lo23 = _mm256_unpacklo_ps(r[2], r[3]);
+    let hi23 = _mm256_unpackhi_ps(r[2], r[3]);
+    let lo45 = _mm256_unpacklo_ps(r[4], r[5]);
+    let hi45 = _mm256_unpackhi_ps(r[4], r[5]);
+    let lo67 = _mm256_unpacklo_ps(r[6], r[7]);
+    let hi67 = _mm256_unpackhi_ps(r[6], r[7]);
+    // Quads: columns t and t + 4 of rows 0–3 (or 4–7).
+    let q0 = _mm256_shuffle_ps::<0x44>(lo01, lo23);
+    let q1 = _mm256_shuffle_ps::<0xEE>(lo01, lo23);
+    let q2 = _mm256_shuffle_ps::<0x44>(hi01, hi23);
+    let q3 = _mm256_shuffle_ps::<0xEE>(hi01, hi23);
+    let q4 = _mm256_shuffle_ps::<0x44>(lo45, lo67);
+    let q5 = _mm256_shuffle_ps::<0xEE>(lo45, lo67);
+    let q6 = _mm256_shuffle_ps::<0x44>(hi45, hi67);
+    let q7 = _mm256_shuffle_ps::<0xEE>(hi45, hi67);
+    let columns = [
+        _mm256_permute2f128_ps::<0x20>(q0, q4),
+        _mm256_permute2f128_ps::<0x20>(q1, q5),
+        _mm256_permute2f128_ps::<0x20>(q2, q6),
+        _mm256_permute2f128_ps::<0x20>(q3, q7),
+        _mm256_permute2f128_ps::<0x31>(q0, q4),
+        _mm256_permute2f128_ps::<0x31>(q1, q5),
+        _mm256_permute2f128_ps::<0x31>(q2, q6),
+        _mm256_permute2f128_ps::<0x31>(q3, q7),
+    ];
+    for (column, &a) in columns.iter().zip(at) {
+        _mm256_storeu_ps(dst.add(a), *column);
     }
 }

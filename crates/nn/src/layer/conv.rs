@@ -1,20 +1,42 @@
-//! 2-D convolution layer, lowered onto the shared im2col/GEMM core.
+//! 2-D convolution layer on the Reference tier's lanes kernel.
+//!
+//! Batches of [`BATCH_LANES_MIN`] and more — training, and inference at
+//! the Reference tier — run with SIMD lanes across the **batch**.  The input is copied once into a zero-bordered,
+//! batch-innermost buffer `xb[ic][iy + p][ix + p][n]`; there, every kernel
+//! tap of every output pixel is one contiguous run of samples, so the
+//! forward, dW and dX products read their operands in place through
+//! offset tables — no im2col, no re-unrolling, no gather copy.  Backward
+//! always works this way.  Smaller forward batches (action selection, the
+//! lockstep rollout lanes) unroll each sample's patches and run lanes
+//! across output pixels; the Fast tier keeps its packed kernels.
 
 use super::Layer;
-use crate::gemm::{gemm_kn, gemm_nt_with, BiasMode, GemmScratch, Im2colShape, Precision, StridedA};
+use crate::gemm::{
+    detected_fast_backend, gemm_kn, gemm_kn_at, gemm_nt_with, BiasMode, GemmScratch,
+    Im2colShape, KnOperands, Precision, Stride, StridedA, transpose_rows,
+};
 use crate::init;
 use crate::tensor::Tensor;
+use std::cell::RefCell;
+
+/// Smallest batch whose Reference-tier forward runs with lanes across the
+/// batch.  Below it the per-sample path (lanes across output pixels) is
+/// as fast or faster — at batch 8 the batch lanes only tie on the
+/// policies' deeper convolutions and lose on the first, and at batch 1
+/// they fill one lane in eight — and both paths produce the same bits, so
+/// this moves speed only.
+const BATCH_LANES_MIN: usize = 16;
 
 /// A 2-D convolution over `[batch, channels, height, width]` inputs.
 ///
 /// Weights have shape `[out_channels, in_channels, kernel, kernel]` and the
 /// bias `[out_channels]`.  Every pass — training `forward`, `backward` and
-/// the immutable `infer`/`infer_with` — runs on the im2col +
-/// [`gemm_kn`] core at the Reference tier (the inference path follows its
-/// scratch's tier), and each output and gradient element accumulates its
-/// terms in the order of the direct six-loop convolution, so the bits
-/// equal that kernel's (see [`Conv2d::backward`](Layer::backward) and
-/// DESIGN.md "Training on the GEMM core").
+/// the immutable `infer`/`infer_with` — runs on the [`gemm_kn`] lanes
+/// kernel at the Reference tier (the inference path follows its scratch's
+/// tier), and each output and gradient element accumulates its terms in
+/// the order of the direct six-loop convolution, so the bits equal that
+/// kernel's (see [`Conv2d::backward`](Layer::backward) and DESIGN.md
+/// "Training on the GEMM core").
 ///
 /// # Examples
 ///
@@ -35,7 +57,9 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
+    /// The last training forward's input in the batch-lane layout — the
+    /// one copy backward reads; `None` before the first forward.
+    cached_input: Option<LaneInput>,
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
@@ -44,32 +68,59 @@ pub struct Conv2d {
     scratch: TrainScratch,
 }
 
-/// Reusable per-layer buffers of the training passes, sized for **one**
-/// sample: backward re-runs im2col per sample from the cached input
-/// rather than keeping a batch-sized patch matrix.
+/// An input batch in the batch-lane layout: `xb[ic][iy + p][ix + p][n]`
+/// with `+0.0` in the `p`-wide border.
+#[derive(Debug, Clone, Default)]
+struct LaneInput {
+    xb: Vec<f32>,
+    /// The input's `[batch, channels, height, width]`.
+    shape: [usize; 4],
+}
+
+/// The buffers one batch-lane pass uses and drops, sized for the whole
+/// batch.  Only one pass runs at a time on a thread, so every convolution
+/// on the thread shares one set ([`PASS_SCRATCH`]) — a set per layer
+/// would multiply this memory by the layers of every training, target
+/// and perturbed network.  Contents are unspecified between passes.
+#[derive(Debug, Default)]
+struct PassScratch {
+    /// The offset tables of the current product.
+    offsets: Vec<usize>,
+    /// Forward: the output before its transpose, `[oc][pixel][n]`.
+    /// Backward: the weight gradient transposed, `[tap][oc]`, then the
+    /// input gradient before its transpose, `[ic][iy][ix][n]`.
+    c: Vec<f32>,
+    /// Backward: the output gradient transposed per sample,
+    /// `[n][pixel][oc]`, then in the batch-lane layout with a zero border
+    /// wide enough for every tap of the flipped kernel (see
+    /// [`Lanes::go_extent`]).
+    go: Vec<f32>,
+    /// Inference: the input's batch-lane copy.
+    xb: Vec<f32>,
+    /// Training forward below [`BATCH_LANES_MIN`]: the per-sample path's
+    /// patch buffers, at the Reference tier.
+    gemm: GemmScratch,
+}
+
+thread_local! {
+    /// This thread's [`PassScratch`].
+    static PASS_SCRATCH: RefCell<PassScratch> = RefCell::new(PassScratch::default());
+}
+
+/// Per-layer tables of the input gradient.
 ///
 /// A cache, not state: cloning a layer (target-network copies, perturbed
-/// snapshots) starts the clone with empty buffers.
+/// snapshots) starts the clone with empty tables.
 #[derive(Debug, Default)]
 struct TrainScratch {
-    /// One sample's im2col patch matrix; always at the Reference tier.
-    gemm: GemmScratch,
     /// The input pixels grouped by stride phase; depends only on the
-    /// input extent.
+    /// geometry in `phase_key`.
     phases: Vec<StridePhase>,
-    /// The `(height, width)` the phases were built for.
-    phase_extent: (usize, usize),
+    /// The `(batch, height, width)` the phases were built for.
+    phase_key: (usize, usize, usize),
     /// Per phase (concatenated), the flipped weight restricted to the
     /// phase's taps: `Wf[ic][(oc, tap)]`.
     flipped: Vec<f32>,
-    /// One sample's output gradient with a `0.0` appended to every
-    /// channel plane, `[oc][plane + 1]`: the gather tables' zero slot.
-    go_padded: Vec<f32>,
-    /// One phase of one sample's gathered output gradient, k-major:
-    /// `G[(oc, tap)][pixel]`.
-    gathered: Vec<f32>,
-    /// One phase of one sample's input gradient, `[ic][pixel]`.
-    dx_block: Vec<f32>,
 }
 
 /// The input pixels at one phase of the stride grid — `(iy + padding)`
@@ -79,21 +130,325 @@ struct TrainScratch {
 /// nothing else.
 #[derive(Debug)]
 struct StridePhase {
-    /// Flat input-pixel indices `iy·w + ix`, ascending.
-    pixels: Vec<u32>,
+    /// Runs of input pixels, ascending: the first pixel's flat index
+    /// `iy·w + ix`, the offset in the output gradient's batch-lane copy
+    /// its B rows are relative to, and the run's length.  A run's pixels
+    /// are adjacent both in the input and in that copy, so one product
+    /// covers it.
+    pixels: Vec<(usize, usize, usize)>,
     /// The reaching taps `(kh, kw)` in flipped order: `kh` descending,
     /// then `kw` descending.
     taps: Vec<(usize, usize)>,
-    /// `[tap][pixel]` → the output pixel the tap reaches, or the plane
-    /// size (the zero slot of [`TrainScratch::go_padded`]) where it falls
-    /// past the output's border.
-    gather: Vec<u32>,
+    /// Per `k = (oc, tap)`, the offset of B row `k` from a pixel's base.
+    rows: Vec<usize>,
 }
 
 impl Clone for TrainScratch {
     fn clone(&self) -> Self {
         Self::default()
     }
+}
+
+/// One layer's geometry over one input batch.
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    batch: usize,
+    in_c: usize,
+    out_c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    s: usize,
+    p: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Lanes {
+    /// Kernel taps per output element, `in_c·k·k`.
+    fn taps(&self) -> usize {
+        self.in_c * self.k * self.k
+    }
+
+    /// Output pixels per channel.
+    fn out_plane(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// The bordered extent of the input's batch-lane copy.
+    fn padded(&self) -> (usize, usize) {
+        (self.h + 2 * self.p, self.w + 2 * self.p)
+    }
+
+    /// Copies `input` (`[n][ic][iy][ix]`) into its batch-lane layout.
+    fn fill_input(&self, input: &[f32], xb: &mut Vec<f32>) {
+        let extent = (self.h, self.w);
+        to_batch_lanes(input, self.batch, self.in_c, extent, self.padded(), self.p, xb);
+    }
+
+    /// Appends the offset in `xb` of every tap `(ic, kh, kw)`, ascending,
+    /// from an output pixel's window corner.
+    fn push_tap_offsets(&self, offsets: &mut Vec<usize>) {
+        let (hp, wp) = self.padded();
+        for ic in 0..self.in_c {
+            for kh in 0..self.k {
+                for kw in 0..self.k {
+                    offsets.push(((ic * hp + kh) * wp + kw) * self.batch);
+                }
+            }
+        }
+    }
+
+    /// Appends the offset in `xb` of every output pixel's window corner
+    /// plus `lane`, pixels ascending.
+    fn push_pixel_offsets(&self, lane: usize, offsets: &mut Vec<usize>) {
+        let wp = self.padded().1;
+        for oy in 0..self.oh {
+            for ox in 0..self.ow {
+                offsets.push((oy * self.s * wp + ox * self.s) * self.batch + lane);
+            }
+        }
+    }
+
+    /// `out = bias ⊕ W ⊛ x` from the input's batch-lane copy `xb`.  Per
+    /// output pixel `q`, `C_q[oc][n] = bias[oc] ⊕ Σ_tap W[oc][tap] ·
+    /// xb[tap_at[tap] + pixel_at[q] + n]` with taps ascending — the
+    /// direct kernel's order, padding taps reading the `+0.0` border —
+    /// then `C` (`[oc][q][n]`) is transposed into `out` (`[n][oc][q]`).
+    fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], pass: &mut PassScratch, out: &mut [f32]) {
+        let (n, plane, taps) = (self.batch, self.out_plane(), self.taps());
+        let PassScratch { offsets, c, .. } = pass;
+        offsets.clear();
+        self.push_tap_offsets(offsets);
+        self.push_pixel_offsets(0, offsets);
+        let (tap_at, pixel_at) = offsets.split_at(taps);
+        c.resize(self.out_c * plane * n, 0.0);
+        let backend = detected_fast_backend();
+        // At stride 1 a whole output row's windows are adjacent in `xb`,
+        // so one product covers the row: its lanes run over `(ox, n)`.
+        let run = if self.s == 1 { self.ow } else { 1 };
+        for (q, &corner) in pixel_at.iter().enumerate().step_by(run) {
+            let ops = KnOperands {
+                a: weight,
+                a_rows: Stride(taps),
+                a_cols: Stride(1),
+                b: &xb[corner..],
+                b_rows: tap_at,
+                ldc: plane * n,
+            };
+            let bias = BiasMode::RowInit(bias);
+            gemm_kn_at(self.out_c, run * n, taps, &ops, bias, &mut c[q * n..], backend);
+        }
+        transpose(c, self.out_c * plane, n, out);
+    }
+
+    /// `dW += Σ_(n, q) x·go` in the direct kernel's `(n, oy, ox)` order:
+    /// `dWᵀ[tap][oc] += Σ_(n,q) xb[tap_at[tap] + pixel_at[q] + n] ·
+    /// goᵀ[(n, q)][oc]`, lanes across `oc`, `A` read from `xb` through
+    /// its row (tap) and column (sample, pixel) tables.
+    fn weight_gradient(&self, xb: &[f32], go: &[f32], pass: &mut PassScratch, grad_weight: &mut [f32]) {
+        let (n, plane, taps, oc) = (self.batch, self.out_plane(), self.taps(), self.out_c);
+        let PassScratch {
+            offsets,
+            c,
+            go: go_t,
+            ..
+        } = pass;
+        offsets.clear();
+        self.push_tap_offsets(offsets);
+        for lane in 0..n {
+            self.push_pixel_offsets(lane, offsets);
+        }
+        let (tap_at, col_at) = offsets.split_at(taps);
+        go_t.resize(go.len(), 0.0);
+        for (go_n, go_t_n) in go.chunks_exact(oc * plane).zip(go_t.chunks_exact_mut(oc * plane)) {
+            transpose(go_n, oc, plane, go_t_n);
+        }
+        // The accumulator is dWᵀ, so `BiasMode::Accumulate` continues each
+        // weight's sum from its current gradient.
+        c.resize(taps * oc, 0.0);
+        transpose(grad_weight, oc, taps, c);
+        let ops = KnOperands {
+            a: xb,
+            a_rows: tap_at,
+            a_cols: col_at,
+            b: go_t,
+            b_rows: Stride(oc),
+            ldc: oc,
+        };
+        gemm_kn_at(taps, oc, n * plane, &ops, BiasMode::Accumulate, c, detected_fast_backend());
+        transpose(c, taps, oc, grad_weight);
+    }
+
+    /// The extent `(rows, cols)` of the output gradient's batch-lane copy
+    /// and the width of its top and left zero border.  The border holds
+    /// every flipped tap that falls before the output (`oy < 0`), the
+    /// extent every one past it, so out-of-range taps read `+0.0`.
+    fn go_extent(&self) -> ((usize, usize), usize) {
+        let border = (self.k - 1) / self.s;
+        let rows = border + self.oh.max((self.h - 1 + self.p) / self.s + 1);
+        let cols = border + self.ow.max((self.w - 1 + self.p) / self.s + 1);
+        ((rows, cols), border)
+    }
+
+    /// Rebuilds the stride phases with their offset tables when the
+    /// geometry changed.
+    fn prepare_phases(&self, scratch: &mut TrainScratch) {
+        let key = (self.batch, self.h, self.w);
+        if scratch.phase_key == key && !scratch.phases.is_empty() {
+            return;
+        }
+        let (k, s, p, n) = (self.k, self.s, self.p, self.batch);
+        let ((gh, gw), border) = self.go_extent();
+        let phases = &mut scratch.phases;
+        phases.clear();
+        for phase_y in 0..s {
+            for phase_x in 0..s {
+                // On this phase `iy + p − kh` is a multiple of the stride
+                // whenever `kh` is a reaching tap, so the output pixel a
+                // tap reaches is `((iy + p)/s − kh/s, (ix + p)/s − kw/s)`:
+                // a per-pixel base plus a per-tap offset.
+                let taps: Vec<(usize, usize)> = (0..k)
+                    .rev()
+                    .filter(|kh| kh % s == phase_y)
+                    .flat_map(|kh| (0..k).rev().filter(move |kw| kw % s == phase_x).map(move |kw| (kh, kw)))
+                    .collect();
+                let mut rows = Vec::with_capacity(self.out_c * taps.len());
+                for oc in 0..self.out_c {
+                    for &(kh, kw) in &taps {
+                        rows.push(((oc * gh + border - kh / s) * gw + border - kw / s) * n);
+                    }
+                }
+                let mut pixels = Vec::new();
+                for iy in (0..self.h).filter(|iy| (iy + p) % s == phase_y) {
+                    for ix in (0..self.w).filter(|ix| (ix + p) % s == phase_x) {
+                        let (pixel, base) = (iy * self.w + ix, ((iy + p) / s * gw + (ix + p) / s) * n);
+                        // Adjacent pixels whose B rows are adjacent too
+                        // (a row at stride 1) share one product.
+                        match pixels.last_mut() {
+                            Some((first, first_base, len))
+                                if *first + *len == pixel && *first_base + *len * n == base =>
+                            {
+                                *len += 1;
+                            }
+                            _ => pixels.push((pixel, base, 1)),
+                        }
+                    }
+                }
+                // A phase without taps keeps its pixels: their `k = 0`
+                // products write the `+0.0` the direct kernel leaves.
+                if !pixels.is_empty() {
+                    phases.push(StridePhase { pixels, taps, rows });
+                }
+            }
+        }
+        scratch.phase_key = key;
+    }
+
+    /// `dX = Wf ⊛ go`: per stride phase and input pixel, `dX[ic][n] =
+    /// Σ_(oc, kh↓, kw↓) Wf[ic][k] · gb[base + rows[k] + n]` over the
+    /// output gradient's batch-lane copy `gb`, then transposed into
+    /// `grad_input` (`[n][ic][iy][ix]`).
+    fn input_gradient(
+        &self,
+        weight: &[f32],
+        go: &[f32],
+        tables: &mut TrainScratch,
+        pass: &mut PassScratch,
+        grad_input: &mut [f32],
+    ) {
+        self.prepare_phases(tables);
+        let (k, n, ic_n, oc_n) = (self.k, self.batch, self.in_c, self.out_c);
+        let TrainScratch { phases, flipped, .. } = tables;
+        let PassScratch {
+            go: go_lanes,
+            c: dx_lanes,
+            ..
+        } = pass;
+        let (extent, border) = self.go_extent();
+        to_batch_lanes(go, n, oc_n, (self.oh, self.ow), extent, border, go_lanes);
+
+        // The weights moved since the last backward: re-flip them.
+        flipped.clear();
+        for phase in phases.iter() {
+            for ic in 0..ic_n {
+                for oc in 0..oc_n {
+                    let filter = &weight[(oc * ic_n + ic) * k * k..(oc * ic_n + ic + 1) * k * k];
+                    flipped.extend(phase.taps.iter().map(|&(kh, kw)| filter[kh * k + kw]));
+                }
+            }
+        }
+        let in_plane = self.h * self.w;
+        dx_lanes.resize(ic_n * in_plane * n, 0.0);
+        let backend = detected_fast_backend();
+        let mut flipped_at = 0;
+        for phase in phases.iter() {
+            let kc = oc_n * phase.taps.len();
+            let wf = &flipped[flipped_at..flipped_at + ic_n * kc];
+            flipped_at += ic_n * kc;
+            for &(pixel, base, len) in &phase.pixels {
+                let ops = KnOperands {
+                    a: wf,
+                    a_rows: Stride(kc),
+                    a_cols: Stride(1),
+                    b: &go_lanes[base..],
+                    b_rows: &phase.rows[..],
+                    ldc: in_plane * n,
+                };
+                let dx = &mut dx_lanes[pixel * n..];
+                gemm_kn_at(ic_n, len * n, kc, &ops, BiasMode::None, dx, backend);
+            }
+        }
+        transpose(dx_lanes, ic_n * in_plane, n, grad_input);
+    }
+}
+
+/// Copies `src` (`[batch][channels][h][w]`) into the batch-lane layout
+/// `dst[ch][border + y][border + x][n]` of a `rows×cols` plane per
+/// channel, `+0.0` everywhere outside the copied window.  Every element of
+/// `dst` is written once, so a reused buffer needs no clearing.
+fn to_batch_lanes(
+    src: &[f32],
+    batch: usize,
+    channels: usize,
+    (h, w): (usize, usize),
+    (rows, cols): (usize, usize),
+    border: usize,
+    dst: &mut Vec<f32>,
+) {
+    let (plane, line) = (h * w, cols * batch);
+    dst.resize(channels * rows * line, 0.0);
+    if dst.is_empty() {
+        return;
+    }
+    for (ch, dst_plane) in dst.chunks_exact_mut(rows * line).enumerate() {
+        for (gy, row) in dst_plane.chunks_exact_mut(line).enumerate() {
+            if (border..border + h).contains(&gy) {
+                row[..border * batch].fill(0.0);
+                row[(border + w) * batch..].fill(0.0);
+            } else {
+                row.fill(0.0);
+            }
+        }
+        let src_plane = &src[ch * plane..];
+        if batch == 1 {
+            // One lane: the layout is the bordered plane, copied by rows.
+            for (y, src_row) in src_plane[..plane].chunks_exact(w).enumerate() {
+                let at = (y + border) * cols + border;
+                dst_plane[at..at + w].copy_from_slice(src_row);
+            }
+            continue;
+        }
+        let window = (border..border + h)
+            .flat_map(|gy| (border..border + w).map(move |gx| (gy * cols + gx) * batch));
+        transpose_rows(src_plane, channels * plane, batch, plane, dst_plane, window);
+    }
+}
+
+/// `dst[j·rows + i] = src[i·cols + j]`: the transpose of a row-major
+/// `rows×cols` matrix.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    transpose_rows(src, cols, rows, cols, dst, (0..cols).map(|j| j * rows));
 }
 
 impl Conv2d {
@@ -194,199 +549,58 @@ impl Conv2d {
         }
     }
 
-    /// Rebuilds the per-phase flipped weights (the weights moved since the
-    /// last backward) and, when the input extent changed, the stride
-    /// phases with their gather tables.
-    fn prepare_input_gradient(&mut self, shape: &Im2colShape) {
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let extent = (shape.height, shape.width);
-        if self.scratch.phase_extent != extent || self.scratch.phases.is_empty() {
-            let phases = &mut self.scratch.phases;
-            phases.clear();
-            for phase_y in 0..s {
-                for phase_x in 0..s {
-                    let mut taps = Vec::new();
-                    for kh in (0..k).rev().filter(|kh| kh % s == phase_y) {
-                        for kw in (0..k).rev().filter(|kw| kw % s == phase_x) {
-                            taps.push((kh, kw));
-                        }
-                    }
-                    let mut pixels = Vec::new();
-                    for iy in (0..shape.height).filter(|iy| (iy + p) % s == phase_y) {
-                        for ix in (0..shape.width).filter(|ix| (ix + p) % s == phase_x) {
-                            pixels.push(
-                                u32::try_from(iy * shape.width + ix)
-                                    .expect("input plane fits a u32 index"),
-                            );
-                        }
-                    }
-                    let mut gather = Vec::with_capacity(taps.len() * pixels.len());
-                    for &(kh, kw) in &taps {
-                        for &pix in &pixels {
-                            let (iy, ix) = (pix as usize / shape.width, pix as usize % shape.width);
-                            // On this phase `iy + p − kh` is a multiple of
-                            // the stride whenever it is non-negative.
-                            let oy = (iy + p).checked_sub(kh).map(|v| v / s);
-                            let ox = (ix + p).checked_sub(kw).map(|v| v / s);
-                            let slot = match (oy, ox) {
-                                (Some(oy), Some(ox)) if oy < shape.out_h && ox < shape.out_w => {
-                                    oy * shape.out_w + ox
-                                }
-                                _ => shape.rows(),
-                            };
-                            gather.push(u32::try_from(slot).expect("output plane fits a u32 index"));
-                        }
-                    }
-                    // A phase without pixels or taps has nothing to add:
-                    // its dX entries stay at their +0.0 start.
-                    if !pixels.is_empty() && !taps.is_empty() {
-                        phases.push(StridePhase {
-                            pixels,
-                            taps,
-                            gather,
-                        });
-                    }
-                }
-            }
-            self.scratch.phase_extent = extent;
-        }
-
-        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
-        let w = self.weight.data();
-        let flipped = &mut self.scratch.flipped;
-        flipped.clear();
-        for phase in &self.scratch.phases {
-            for ic in 0..ic_n {
-                for oc in 0..oc_n {
-                    let filter = &w[(oc * ic_n + ic) * k * k..(oc * ic_n + ic + 1) * k * k];
-                    flipped.extend(phase.taps.iter().map(|&(kh, kw)| filter[kh * k + kw]));
-                }
-            }
+    /// This layer's geometry over a `[batch, channels, height, width]`
+    /// input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not rank 4 or its channels do not match.
+    fn lanes(&self, shape: &[usize]) -> Lanes {
+        assert_eq!(shape.len(), 4, "Conv2d expects [batch, c, h, w] input");
+        assert_eq!(shape[1], self.in_channels, "Conv2d input channel mismatch");
+        Lanes {
+            batch: shape[0],
+            in_c: self.in_channels,
+            out_c: self.out_channels,
+            h: shape[2],
+            w: shape[3],
+            k: self.kernel,
+            s: self.stride,
+            p: self.padding,
+            oh: self.output_size(shape[2]),
+            ow: self.output_size(shape[3]),
         }
     }
 
     /// The body of [`Layer::backward`]: accumulates dW and the bias
-    /// gradient, and writes dX into `grad_input` (a `+0.0`-filled tensor of
-    /// the input's shape) when one is given.
-    fn accumulate_gradients(
-        &mut self,
-        grad_output: &Tensor,
-        mut grad_input: Option<&mut Tensor>,
-    ) {
-        let input = self
+    /// gradient, and writes dX into `grad_input` (a tensor of the input's
+    /// shape, every element overwritten) when one is given.
+    fn accumulate_gradients(&mut self, grad_output: &Tensor, grad_input: Option<&mut Tensor>) {
+        let cached = self
             .cached_input
-            .take()
+            .as_ref()
             .expect("backward called before forward on Conv2d");
-        let (batch, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let shape = self.im2col_shape(h, w);
-        let (oc_n, plane) = (self.out_channels, shape.rows());
+        let lanes = self.lanes(&cached.shape);
         assert_eq!(
             grad_output.shape(),
-            &[batch, oc_n, shape.out_h, shape.out_w],
+            &[lanes.batch, lanes.out_c, lanes.oh, lanes.ow],
             "Conv2d gradient shape mismatch"
         );
-        if grad_input.is_some() {
-            self.prepare_input_gradient(&shape);
-        }
-        let taps = shape.cols();
-        let in_pixels = h * w;
-        let go_data = grad_output.data();
-
-        for n in 0..batch {
-            let go_n = &go_data[n * oc_n * plane..(n + 1) * oc_n * plane];
-            let sample = n * c * in_pixels..(n + 1) * c * in_pixels;
-
-            // dW += goₙ · colₙ, contracting over the pixel index (the rows
-            // of colₙ, so colₙ is already the k-major operand).
-            let (col, _, _) = self
-                .scratch
-                .gemm
-                .im2col_packs_precision(&input.data()[sample.clone()], &shape);
-            gemm_kn(
-                oc_n,
-                taps,
-                plane,
-                StridedA::row_major(go_n, plane),
-                col,
-                BiasMode::Accumulate,
-                self.grad_weight.data_mut(),
-            );
-
-            if let Some(grad_input) = grad_input.as_deref_mut() {
-                self.input_gradient(go_n, plane, &mut grad_input.data_mut()[sample]);
+        let go = grad_output.data();
+        PASS_SCRATCH.with_borrow_mut(|pass| {
+            lanes.weight_gradient(&cached.xb, go, pass, self.grad_weight.data_mut());
+            if let Some(grad_input) = grad_input {
+                let (weight, tables) = (self.weight.data(), &mut self.scratch);
+                lanes.input_gradient(weight, go, tables, pass, grad_input.data_mut());
             }
-        }
+        });
 
+        let plane = lanes.out_plane();
         let grad_bias = self.grad_bias.data_mut();
-        for go_n in go_data.chunks_exact(oc_n * plane) {
+        for go_n in go.chunks_exact(lanes.out_c * plane) {
             for (gb, go_oc) in grad_bias.iter_mut().zip(go_n.chunks_exact(plane)) {
                 for &go in go_oc {
                     *gb += go;
-                }
-            }
-        }
-        self.cached_input = Some(input);
-    }
-
-    /// One sample's `dXₙ = Wf · Gₙ`, one GEMM per stride phase, written
-    /// into `grad_in_n` (`[c][h·w]`).  Needs [`Conv2d::prepare_input_gradient`]
-    /// for the current weights and input extent.
-    fn input_gradient(&mut self, go_n: &[f32], plane: usize, grad_in_n: &mut [f32]) {
-        let (c, oc_n) = (self.in_channels, self.out_channels);
-        let in_pixels = grad_in_n.len() / c;
-        let TrainScratch {
-            phases,
-            flipped,
-            go_padded,
-            gathered,
-            dx_block,
-            ..
-        } = &mut self.scratch;
-        go_padded.resize(oc_n * (plane + 1), 0.0);
-        for (dst, src) in go_padded.chunks_exact_mut(plane + 1).zip(go_n.chunks_exact(plane)) {
-            dst[..plane].copy_from_slice(src);
-            dst[plane] = 0.0;
-        }
-        let mut flipped_at = 0;
-        for phase in phases.iter() {
-            let (npix, ntaps) = (phase.pixels.len(), phase.taps.len());
-            let kc = oc_n * ntaps;
-            gathered.resize(kc * npix, 0.0);
-            for (g_oc, go_oc) in gathered
-                .chunks_exact_mut(ntaps * npix)
-                .zip(go_padded.chunks_exact(plane + 1))
-            {
-                for (g_row, idx_row) in g_oc
-                    .chunks_exact_mut(npix)
-                    .zip(phase.gather.chunks_exact(npix))
-                {
-                    for (g, &slot) in g_row.iter_mut().zip(idx_row) {
-                        *g = go_oc[slot as usize];
-                    }
-                }
-            }
-            dx_block.resize(c * npix, 0.0);
-            gemm_kn(
-                c,
-                npix,
-                kc,
-                StridedA::row_major(&flipped[flipped_at..flipped_at + c * kc], kc),
-                gathered,
-                BiasMode::None,
-                dx_block,
-            );
-            flipped_at += c * kc;
-            for (dst, src) in grad_in_n
-                .chunks_exact_mut(in_pixels)
-                .zip(dx_block.chunks_exact(npix))
-            {
-                for (&pix, &v) in phase.pixels.iter().zip(src) {
-                    dst[pix as usize] = v;
                 }
             }
         }
@@ -395,14 +609,22 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        let mut gemm = std::mem::take(&mut self.scratch.gemm);
-        self.infer_with(input, &mut out, &mut gemm);
-        self.scratch.gemm = gemm;
-        match &mut self.cached_input {
-            Some(cached) => cached.copy_from(input),
-            None => self.cached_input = Some(input.clone()),
-        }
+        let lanes = self.lanes(input.shape());
+        let mut cached = self.cached_input.take().unwrap_or_default();
+        lanes.fill_input(input.data(), &mut cached.xb);
+        cached.shape.copy_from_slice(input.shape());
+        let mut out = Tensor::zeros(&[lanes.batch, lanes.out_c, lanes.oh, lanes.ow]);
+        PASS_SCRATCH.with_borrow_mut(|pass| {
+            if lanes.batch >= BATCH_LANES_MIN {
+                let (weight, bias) = (self.weight.data(), self.bias.data());
+                lanes.forward(weight, bias, &cached.xb, pass, out.data_mut());
+            } else {
+                // Same bits, faster at small batches; backward still reads
+                // the batch-lane copy.
+                self.infer_with(input, &mut out, &mut pass.gemm);
+            }
+        });
+        self.cached_input = Some(cached);
         out
     }
 
@@ -411,32 +633,35 @@ impl Layer for Conv2d {
     }
 
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
-        assert_eq!(input.rank(), 4, "Conv2d expects [batch, c, h, w] input");
-        let (batch, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        assert_eq!(c, self.in_channels, "Conv2d input channel mismatch");
-        let shape = self.im2col_shape(h, w);
-        let (oh, ow) = (shape.out_h, shape.out_w);
-        let (rows, taps) = (shape.rows(), shape.cols());
-        out.reset(&[batch, self.out_channels, oh, ow]);
-        let in_data = input.data();
-        let out_data = out.data_mut();
+        let lanes = self.lanes(input.shape());
+        let (batch, c, h, w) = (lanes.batch, lanes.in_c, lanes.h, lanes.w);
+        out.reset(&[batch, self.out_channels, lanes.oh, lanes.ow]);
         let w_data = self.weight.data();
         let bias = self.bias.data();
+        if gemm.precision() == Precision::Reference && batch >= BATCH_LANES_MIN {
+            PASS_SCRATCH.with_borrow_mut(|pass| {
+                let mut xb = std::mem::take(&mut pass.xb);
+                lanes.fill_input(input.data(), &mut xb);
+                lanes.forward(w_data, bias, &xb, pass, out.data_mut());
+                pass.xb = xb;
+            });
+            return;
+        }
 
-        // im2col + GEMM lowering: out[n][oc][p] = bias[oc] + w_row(oc)·col_row(p).
-        // Patch columns follow the (ic, kh, kw) tap order.  At the default
-        // Reference tier the GEMM accumulates them ascending (lanes across
-        // the output pixels of the transposed patch matrix), so every
-        // output element replays the direct convolution's floating-point
-        // sequence exactly (padding cells contribute ±0.0 products, which
-        // never change an accumulator that is not −0.0 — see the gemm
-        // module docs); the Fast tier follows the scratch's precision
-        // setting and trades that bitwise identity for its own spec.
+        // Per sample, im2col + GEMM: out[n][oc][p] = bias[oc] +
+        // w_row(oc)·col_row(p).  Patch columns follow the (ic, kh, kw) tap
+        // order.  At the Reference tier the GEMM accumulates them
+        // ascending (lanes across the output pixels of the transposed
+        // patch matrix), so every output element replays the direct
+        // convolution's floating-point sequence exactly (padding cells
+        // contribute ±0.0 products, which never change an accumulator that
+        // is not −0.0 — see the gemm module docs); the Fast tier follows
+        // the scratch's precision setting and trades that bitwise identity
+        // for its own spec.
+        let shape = self.im2col_shape(h, w);
+        let (rows, taps) = (shape.rows(), shape.cols());
+        let in_data = input.data();
+        let out_data = out.data_mut();
         for n in 0..batch {
             let plane = &in_data[n * c * h * w..(n + 1) * c * h * w];
             let out_block =
@@ -463,28 +688,32 @@ impl Layer for Conv2d {
         }
     }
 
-    /// Reference GEMMs per sample, in the direct convolution's order.
+    /// Reference GEMMs over the whole batch, in the direct convolution's
+    /// order.
     ///
     /// The direct kernel loops `(n, oc, oy, ox)`, skips `go == 0`, and
     /// for every in-bounds tap adds `go·x` to `dW[oc][tap]` and `go·w` to
     /// `dX[ic][iy][ix]`.  Here:
     ///
-    /// * **dW** — `dW[oc][tap] += Σₚ goₙ[oc][p]·colₙ[p][tap]`, one
-    ///   [`BiasMode::Accumulate`] GEMM per sample with samples ascending,
-    ///   which replays each weight's `(n, oy, ox)` term sequence.
-    /// * **dX** — `dXₙ[ic][pix] = Σₖ Wf[ic][k]·Gₙ[k][pix]` with
-    ///   `k = (oc, kh, kw)` over `kh`, `kw` *descending*; `Wf` is the
-    ///   flipped weight and `Gₙ` gathers `goₙ` through a per-shape table
-    ///   (`0` where a tap falls past the output's border).  For a fixed
-    ///   input pixel, ascending `(oy, ox)` is descending `(kh, kw)`, so
-    ///   ascending `k` is exactly the direct kernel's `(oc, oy, ox)`
-    ///   order: no term is reassociated.  One GEMM runs per stride phase
-    ///   of the input pixels, over only the taps that can reach an output
-    ///   from that phase (the rest only ever meet stride gaps).
+    /// * **dW** — `dWᵀ[tap][oc] += Σ_(n,q) x·go` over `k = (n, q)`
+    ///   ascending, one [`BiasMode::Accumulate`] GEMM per batch with lanes
+    ///   across `oc`; the `x` operand is read in place from forward's
+    ///   batch-lane copy of the input, which replays each weight's
+    ///   `(n, oy, ox)` term sequence.
+    /// * **dX** — per input pixel, `dX[ic][n] = Σₖ Wf[ic][k]·go[…][n]`
+    ///   with lanes across the batch and `k = (oc, kh, kw)` over `kh`,
+    ///   `kw` *descending*; `Wf` is the flipped weight and the `go` rows
+    ///   come from a zero-bordered batch-lane copy of the output gradient
+    ///   through a per-shape offset table (the border where a tap falls
+    ///   past the output).  For a fixed input pixel, ascending `(oy, ox)`
+    ///   is descending `(kh, kw)`, so ascending `k` is exactly the direct
+    ///   kernel's `(oc, oy, ox)` order: no term is reassociated.  Pixels
+    ///   are grouped by stride phase, over only the taps that can reach
+    ///   an output from that phase (the rest only ever meet stride gaps).
     /// * **bias** — a per-channel sum in the same `(n, p)` order.
     ///
-    /// The extra terms (the `go == 0` entries, padding taps, border gather
-    /// slots) are all exact `±0.0` products for finite inputs.  Every
+    /// The extra terms (the `go == 0` entries, padding taps, border
+    /// reads) are all exact `±0.0` products for finite inputs.  Every
     /// gradient accumulator starts at `+0.0` (`zero_grad`, a fresh `dX`)
     /// and only ever has values added to it; under round-to-nearest such a
     /// sum can never become `−0.0`, and adding `±0.0` to anything that is
@@ -492,10 +721,11 @@ impl Layer for Conv2d {
     /// cannot change a bit.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let mut grad_input = Tensor::zeros(
-            self.cached_input
+            &self
+                .cached_input
                 .as_ref()
                 .expect("backward called before forward on Conv2d")
-                .shape(),
+                .shape,
         );
         self.accumulate_gradients(grad_output, Some(&mut grad_input));
         grad_input
@@ -712,7 +942,9 @@ mod tests {
         let mut gemm = GemmScratch::new();
         // (in_c, out_c, kernel, stride, padding, h, w, batch) — odd sizes,
         // stride 1/2/3, padding 0..=2 (also wider than the kernel), kernels
-        // larger than the input and smaller than the stride.
+        // larger than the input and smaller than the stride.  The batches
+        // of 16 and more also run `infer_with` with lanes across the batch,
+        // 17 and 24 with masked lanes.
         for &(ic, oc, k, s, p, h, w, batch) in &[
             (1usize, 1usize, 1usize, 1usize, 0usize, 1usize, 1usize, 1usize),
             (2, 3, 3, 1, 1, 9, 9, 2),
@@ -723,6 +955,12 @@ mod tests {
             (2, 2, 5, 1, 2, 3, 3, 1),
             (3, 4, 2, 3, 1, 8, 6, 2),
             (2, 3, 1, 2, 2, 5, 4, 2),
+            (2, 8, 3, 1, 1, 9, 9, 16),
+            (8, 16, 3, 2, 1, 9, 9, 17),
+            (16, 5, 3, 1, 1, 5, 5, 24),
+            (3, 4, 5, 3, 2, 11, 7, 17),
+            (2, 3, 2, 3, 1, 8, 6, 24),
+            (1, 9, 1, 2, 2, 5, 4, 32),
         ] {
             let at = format!("({ic},{oc},{k},{s},{p},{h},{w},{batch})");
             let mut conv = Conv2d::new(ic, oc, k, s, p, &mut r);
@@ -762,6 +1000,16 @@ mod tests {
                 conv.infer_with(x, &mut gemmed, &mut gemm);
                 assert_eq!(gemmed.shape(), expected.shape());
                 assert_bits_eq(gemmed.data(), expected.data(), &format!("infer_with at {at}"));
+                // The first (up to) 8 samples alone take the per-sample path.
+                let few = batch.min(8);
+                let head = Tensor::from_vec(
+                    vec![few, ic, h, w],
+                    x.data()[..few * ic * h * w].to_vec(),
+                )
+                .unwrap();
+                conv.infer_with(&head, &mut gemmed, &mut gemm);
+                let expected_head = &expected.data()[..gemmed.len()];
+                assert_bits_eq(gemmed.data(), expected_head, &format!("infer_with b{few} at {at}"));
                 let y = conv.forward(x);
                 assert_bits_eq(y.data(), expected.data(), &format!("forward at {at}"));
 

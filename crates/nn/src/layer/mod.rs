@@ -29,8 +29,10 @@ pub trait Layer: Send + Sync {
     /// Runs the forward pass, caching anything needed by [`Layer::backward`].
     ///
     /// Layers with a matrix-product forward (dense, convolution) compute
-    /// it through [`Layer::infer_with`] at the Reference GEMM tier — the
-    /// one production path — so training and inference share their bits.
+    /// it on the Reference GEMM tier's kernels, as [`Layer::infer_with`]
+    /// does — dense through `infer_with` itself, the convolution through
+    /// its lanes-across-the-batch path, which `infer_with` shares at large
+    /// batches — so training and inference share their bits.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Runs an immutable, cache-free forward pass, writing the layer output
@@ -51,15 +53,14 @@ pub trait Layer: Send + Sync {
     /// [`Layer::infer`] through the shared im2col/GEMM core with a
     /// caller-owned scratch.
     ///
-    /// This is the one production forward of the matrix-product layers:
-    /// dense and convolution layers route through
-    /// [`crate::gemm::gemm_nt_with`] here, at the precision tier the
-    /// [`GemmScratch`] carries, and their `forward` and `infer` delegate to
-    /// it at the Reference tier.  Element-wise layers fall back to their
-    /// scalar `infer`.  At the Reference tier each output element
-    /// accumulates its terms in the order of the layer's scalar oracle
-    /// (the direct convolution; matmul then bias), which the layers' unit
-    /// tests pin bitwise.
+    /// This is the production inference path of the matrix-product
+    /// layers: dense and convolution layers route through the GEMM
+    /// kernels here, at the precision tier the [`GemmScratch`] carries,
+    /// and their `infer` delegates to it at the Reference tier.
+    /// Element-wise layers fall back to their scalar `infer`.  At the
+    /// Reference tier each output element accumulates its terms in the
+    /// order of the layer's scalar oracle (the direct convolution; matmul
+    /// then bias), which the layers' unit tests pin bitwise.
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         let _ = gemm;
         self.infer(input, out);
@@ -152,9 +153,15 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let out = input.mul(&mask).expect("mask shares input shape");
-        self.mask = Some(mask);
+        // One pass: the output and the reused mask buffer together, with
+        // the `v * mask` arithmetic `infer` shares.
+        let mask = self.mask.get_or_insert_with(Tensor::default);
+        mask.reset(input.shape());
+        let mut out = Tensor::zeros(input.shape());
+        for ((o, m), &v) in out.data_mut().iter_mut().zip(mask.data_mut()).zip(input.data()) {
+            *m = if v > 0.0 { 1.0 } else { 0.0 };
+            *o = v * *m;
+        }
         out
     }
 
