@@ -69,7 +69,8 @@ impl<'a> StridedA<'a> {
 /// batch-innermost planes — in place, without an unrolling copy.
 ///
 /// For every `i < len`, `at(i)` must not exceed `last(len)`: the AVX2
-/// kernel bounds its unchecked reads by `last` alone.
+/// kernel bounds its unchecked reads by `last` alone, and in debug builds
+/// its entry checks every offset of every product against it.
 pub(crate) trait Offsets: Copy {
     /// The offset of index `i`.
     fn at(self, i: usize) -> usize;

@@ -88,7 +88,7 @@ mod simd_neon;
 mod transpose;
 
 pub(crate) use kn::{gemm_kn_at, KnOperands, Stride};
-pub(crate) use transpose::transpose_rows;
+pub(crate) use transpose::{transpose, transpose_rows};
 pub use kn::{gemm_kn, gemm_kn_with_backend, StridedA};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;

@@ -167,6 +167,10 @@ pub(crate) fn kn_accumulate_at<AR: Offsets, AC: Offsets, BR: Offsets>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    debug_assert!(
+        within_last(ops.a_rows, m) && within_last(ops.a_cols, k) && within_last(ops.b_rows, k),
+        "an offset lies past its operand's `Offsets::last`"
+    );
     assert!(ops.a_rows.last(m) + ops.a_cols.last(k) < ops.a.len());
     assert!(ops.b_rows.last(k) + n <= ops.b.len());
     assert!(ops.ldc >= n && (m - 1) * ops.ldc + n <= c.len());
@@ -179,6 +183,14 @@ pub(crate) fn kn_accumulate_at<AR: Offsets, AC: Offsets, BR: Offsets>(
     // `p < k` is at most their asserted maxima — and guarantee the
     // required target feature is present.
     unsafe { kn_accumulate(m, n, k, ops, c.as_mut_ptr()) }
+}
+
+/// Whether every offset of indices `0..len` is at most `last(len)` — the
+/// [`Offsets`] contract [`kn_accumulate_at`]'s bounds rest on, checked one
+/// offset at a time.
+fn within_last<O: Offsets>(offsets: O, len: usize) -> bool {
+    let last = offsets.last(len);
+    (0..len).all(|i| offsets.at(i) <= last)
 }
 
 /// Sweeps `MR_K × NR_K` register tiles over `C`; fringe tiles keep fewer

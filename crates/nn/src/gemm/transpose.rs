@@ -33,6 +33,16 @@ pub(crate) fn transpose_rows(
     transpose_rows_on(simd, src, src_stride, rows, cols, dst, row_at);
 }
 
+/// `dst[j·rows + i] = src[i·cols + j]`: the transpose of a row-major
+/// `rows×cols` matrix.
+///
+/// # Panics
+///
+/// Panics if `src` or `dst` holds fewer than `rows·cols` elements.
+pub(crate) fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    transpose_rows(src, cols, rows, cols, dst, (0..cols).map(|j| j * rows));
+}
+
 /// [`transpose_rows`] with the AVX2 blocks switched on or off.
 fn transpose_rows_on(
     simd: bool,

@@ -13,7 +13,7 @@
 use super::Layer;
 use crate::gemm::{
     detected_fast_backend, gemm_kn, gemm_kn_at, gemm_nt_with, BiasMode, GemmScratch,
-    Im2colShape, KnOperands, Precision, Stride, StridedA, transpose_rows,
+    Im2colShape, KnOperands, Precision, Stride, StridedA, transpose, transpose_rows,
 };
 use crate::init;
 use crate::tensor::Tensor;
@@ -149,50 +149,51 @@ impl Clone for TrainScratch {
     }
 }
 
-/// One layer's geometry over one input batch.
+/// One layer's geometry over one input batch: the per-sample im2col
+/// geometry plus the batch and the output channels.
 #[derive(Debug, Clone, Copy)]
 struct Lanes {
     batch: usize,
-    in_c: usize,
     out_c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    s: usize,
-    p: usize,
-    oh: usize,
-    ow: usize,
+    shape: Im2colShape,
 }
 
 impl Lanes {
     /// Kernel taps per output element, `in_c·k·k`.
     fn taps(&self) -> usize {
-        self.in_c * self.k * self.k
+        self.shape.cols()
     }
 
     /// Output pixels per channel.
     fn out_plane(&self) -> usize {
-        self.oh * self.ow
+        self.shape.rows()
+    }
+
+    /// The output's `[batch, out_channels, out_h, out_w]`.
+    fn out_dims(&self) -> [usize; 4] {
+        [self.batch, self.out_c, self.shape.out_h, self.shape.out_w]
     }
 
     /// The bordered extent of the input's batch-lane copy.
     fn padded(&self) -> (usize, usize) {
-        (self.h + 2 * self.p, self.w + 2 * self.p)
+        let Im2colShape { height, width, padding, .. } = self.shape;
+        (height + 2 * padding, width + 2 * padding)
     }
 
     /// Copies `input` (`[n][ic][iy][ix]`) into its batch-lane layout.
     fn fill_input(&self, input: &[f32], xb: &mut Vec<f32>) {
-        let extent = (self.h, self.w);
-        to_batch_lanes(input, self.batch, self.in_c, extent, self.padded(), self.p, xb);
+        let Im2colShape { channels, height, width, padding, .. } = self.shape;
+        to_batch_lanes(input, self.batch, channels, (height, width), self.padded(), padding, xb);
     }
 
     /// Appends the offset in `xb` of every tap `(ic, kh, kw)`, ascending,
     /// from an output pixel's window corner.
     fn push_tap_offsets(&self, offsets: &mut Vec<usize>) {
         let (hp, wp) = self.padded();
-        for ic in 0..self.in_c {
-            for kh in 0..self.k {
-                for kw in 0..self.k {
+        let k = self.shape.kernel;
+        for ic in 0..self.shape.channels {
+            for kh in 0..k {
+                for kw in 0..k {
                     offsets.push(((ic * hp + kh) * wp + kw) * self.batch);
                 }
             }
@@ -203,9 +204,10 @@ impl Lanes {
     /// plus `lane`, pixels ascending.
     fn push_pixel_offsets(&self, lane: usize, offsets: &mut Vec<usize>) {
         let wp = self.padded().1;
-        for oy in 0..self.oh {
-            for ox in 0..self.ow {
-                offsets.push((oy * self.s * wp + ox * self.s) * self.batch + lane);
+        let Im2colShape { stride: s, out_h, out_w, .. } = self.shape;
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                offsets.push((oy * s * wp + ox * s) * self.batch + lane);
             }
         }
     }
@@ -226,7 +228,7 @@ impl Lanes {
         let backend = detected_fast_backend();
         // At stride 1 a whole output row's windows are adjacent in `xb`,
         // so one product covers the row: its lanes run over `(ox, n)`.
-        let run = if self.s == 1 { self.ow } else { 1 };
+        let run = if self.shape.stride == 1 { self.shape.out_w } else { 1 };
         for (q, &corner) in pixel_at.iter().enumerate().step_by(run) {
             let ops = KnOperands {
                 a: weight,
@@ -285,20 +287,23 @@ impl Lanes {
     /// every flipped tap that falls before the output (`oy < 0`), the
     /// extent every one past it, so out-of-range taps read `+0.0`.
     fn go_extent(&self) -> ((usize, usize), usize) {
-        let border = (self.k - 1) / self.s;
-        let rows = border + self.oh.max((self.h - 1 + self.p) / self.s + 1);
-        let cols = border + self.ow.max((self.w - 1 + self.p) / self.s + 1);
+        let Im2colShape { height: h, width: w, kernel: k, stride: s, padding: p, out_h, out_w, .. } =
+            self.shape;
+        let border = (k - 1) / s;
+        let rows = border + out_h.max((h - 1 + p) / s + 1);
+        let cols = border + out_w.max((w - 1 + p) / s + 1);
         ((rows, cols), border)
     }
 
     /// Rebuilds the stride phases with their offset tables when the
     /// geometry changed.
     fn prepare_phases(&self, scratch: &mut TrainScratch) {
-        let key = (self.batch, self.h, self.w);
+        let Im2colShape { height: h, width: w, kernel: k, stride: s, padding: p, .. } = self.shape;
+        let n = self.batch;
+        let key = (n, h, w);
         if scratch.phase_key == key && !scratch.phases.is_empty() {
             return;
         }
-        let (k, s, p, n) = (self.k, self.s, self.p, self.batch);
         let ((gh, gw), border) = self.go_extent();
         let phases = &mut scratch.phases;
         phases.clear();
@@ -320,9 +325,9 @@ impl Lanes {
                     }
                 }
                 let mut pixels = Vec::new();
-                for iy in (0..self.h).filter(|iy| (iy + p) % s == phase_y) {
-                    for ix in (0..self.w).filter(|ix| (ix + p) % s == phase_x) {
-                        let (pixel, base) = (iy * self.w + ix, ((iy + p) / s * gw + (ix + p) / s) * n);
+                for iy in (0..h).filter(|iy| (iy + p) % s == phase_y) {
+                    for ix in (0..w).filter(|ix| (ix + p) % s == phase_x) {
+                        let (pixel, base) = (iy * w + ix, ((iy + p) / s * gw + (ix + p) / s) * n);
                         // Adjacent pixels whose B rows are adjacent too
                         // (a row at stride 1) share one product.
                         match pixels.last_mut() {
@@ -358,7 +363,7 @@ impl Lanes {
         grad_input: &mut [f32],
     ) {
         self.prepare_phases(tables);
-        let (k, n, ic_n, oc_n) = (self.k, self.batch, self.in_c, self.out_c);
+        let (k, n, ic_n, oc_n) = (self.shape.kernel, self.batch, self.shape.channels, self.out_c);
         let TrainScratch { phases, flipped, .. } = tables;
         let PassScratch {
             go: go_lanes,
@@ -366,7 +371,8 @@ impl Lanes {
             ..
         } = pass;
         let (extent, border) = self.go_extent();
-        to_batch_lanes(go, n, oc_n, (self.oh, self.ow), extent, border, go_lanes);
+        let out_extent = (self.shape.out_h, self.shape.out_w);
+        to_batch_lanes(go, n, oc_n, out_extent, extent, border, go_lanes);
 
         // The weights moved since the last backward: re-flip them.
         flipped.clear();
@@ -378,7 +384,7 @@ impl Lanes {
                 }
             }
         }
-        let in_plane = self.h * self.w;
+        let in_plane = self.shape.height * self.shape.width;
         dx_lanes.resize(ic_n * in_plane * n, 0.0);
         let backend = detected_fast_backend();
         let mut flipped_at = 0;
@@ -431,24 +437,10 @@ fn to_batch_lanes(
             }
         }
         let src_plane = &src[ch * plane..];
-        if batch == 1 {
-            // One lane: the layout is the bordered plane, copied by rows.
-            for (y, src_row) in src_plane[..plane].chunks_exact(w).enumerate() {
-                let at = (y + border) * cols + border;
-                dst_plane[at..at + w].copy_from_slice(src_row);
-            }
-            continue;
-        }
         let window = (border..border + h)
             .flat_map(|gy| (border..border + w).map(move |gx| (gy * cols + gx) * batch));
         transpose_rows(src_plane, channels * plane, batch, plane, dst_plane, window);
     }
-}
-
-/// `dst[j·rows + i] = src[i·cols + j]`: the transpose of a row-major
-/// `rows×cols` matrix.
-fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    transpose_rows(src, cols, rows, cols, dst, (0..cols).map(|j| j * rows));
 }
 
 impl Conv2d {
@@ -560,15 +552,8 @@ impl Conv2d {
         assert_eq!(shape[1], self.in_channels, "Conv2d input channel mismatch");
         Lanes {
             batch: shape[0],
-            in_c: self.in_channels,
             out_c: self.out_channels,
-            h: shape[2],
-            w: shape[3],
-            k: self.kernel,
-            s: self.stride,
-            p: self.padding,
-            oh: self.output_size(shape[2]),
-            ow: self.output_size(shape[3]),
+            shape: self.im2col_shape(shape[2], shape[3]),
         }
     }
 
@@ -583,7 +568,7 @@ impl Conv2d {
         let lanes = self.lanes(&cached.shape);
         assert_eq!(
             grad_output.shape(),
-            &[lanes.batch, lanes.out_c, lanes.oh, lanes.ow],
+            &lanes.out_dims(),
             "Conv2d gradient shape mismatch"
         );
         let go = grad_output.data();
@@ -613,7 +598,7 @@ impl Layer for Conv2d {
         let mut cached = self.cached_input.take().unwrap_or_default();
         lanes.fill_input(input.data(), &mut cached.xb);
         cached.shape.copy_from_slice(input.shape());
-        let mut out = Tensor::zeros(&[lanes.batch, lanes.out_c, lanes.oh, lanes.ow]);
+        let mut out = Tensor::zeros(&lanes.out_dims());
         PASS_SCRATCH.with_borrow_mut(|pass| {
             if lanes.batch >= BATCH_LANES_MIN {
                 let (weight, bias) = (self.weight.data(), self.bias.data());
@@ -634,11 +619,10 @@ impl Layer for Conv2d {
 
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         let lanes = self.lanes(input.shape());
-        let (batch, c, h, w) = (lanes.batch, lanes.in_c, lanes.h, lanes.w);
-        out.reset(&[batch, self.out_channels, lanes.oh, lanes.ow]);
+        out.reset(&lanes.out_dims());
         let w_data = self.weight.data();
         let bias = self.bias.data();
-        if gemm.precision() == Precision::Reference && batch >= BATCH_LANES_MIN {
+        if gemm.precision() == Precision::Reference && lanes.batch >= BATCH_LANES_MIN {
             PASS_SCRATCH.with_borrow_mut(|pass| {
                 let mut xb = std::mem::take(&mut pass.xb);
                 lanes.fill_input(input.data(), &mut xb);
@@ -658,12 +642,13 @@ impl Layer for Conv2d {
         // is not −0.0 — see the gemm module docs); the Fast tier follows
         // the scratch's precision setting and trades that bitwise identity
         // for its own spec.
-        let shape = self.im2col_shape(h, w);
+        let shape = lanes.shape;
         let (rows, taps) = (shape.rows(), shape.cols());
+        let in_plane = shape.channels * shape.height * shape.width;
         let in_data = input.data();
         let out_data = out.data_mut();
-        for n in 0..batch {
-            let plane = &in_data[n * c * h * w..(n + 1) * c * h * w];
+        for n in 0..lanes.batch {
+            let plane = &in_data[n * in_plane..(n + 1) * in_plane];
             let out_block =
                 &mut out_data[n * self.out_channels * rows..(n + 1) * self.out_channels * rows];
             let bias = BiasMode::RowInit(bias);
@@ -944,7 +929,8 @@ mod tests {
         // stride 1/2/3, padding 0..=2 (also wider than the kernel), kernels
         // larger than the input and smaller than the stride.  The batches
         // of 16 and more also run `infer_with` with lanes across the batch,
-        // 17 and 24 with masked lanes.
+        // 17 and 24 with masked lanes.  A 1×1 kernel at stride 1 without
+        // padding makes one dX product span several input rows.
         for &(ic, oc, k, s, p, h, w, batch) in &[
             (1usize, 1usize, 1usize, 1usize, 0usize, 1usize, 1usize, 1usize),
             (2, 3, 3, 1, 1, 9, 9, 2),
@@ -961,6 +947,8 @@ mod tests {
             (3, 4, 5, 3, 2, 11, 7, 17),
             (2, 3, 2, 3, 1, 8, 6, 24),
             (1, 9, 1, 2, 2, 5, 4, 32),
+            (3, 4, 1, 1, 0, 4, 5, 17),
+            (3, 4, 1, 1, 0, 4, 5, 2),
         ] {
             let at = format!("({ic},{oc},{k},{s},{p},{h},{w},{batch})");
             let mut conv = Conv2d::new(ic, oc, k, s, p, &mut r);

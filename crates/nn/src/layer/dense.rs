@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use super::Layer;
-use crate::gemm::{gemm_kn, gemm_nt_with, BiasMode, GemmScratch, Precision, StridedA};
+use crate::gemm::{gemm_kn, gemm_nt_with, transpose, BiasMode, GemmScratch, Precision, StridedA};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -214,11 +214,7 @@ impl Layer for Dense {
             // yᵀ = W · xᵀ with SIMD lanes across the batch: W is already
             // the row-major A, xᵀ the k-major B.
             let (xt, yt) = gemm.transpose_buffers(in_f * batch, out_f * batch);
-            for (n, x_row) in input.data().chunks_exact(in_f).enumerate() {
-                for (i, &v) in x_row.iter().enumerate() {
-                    xt[i * batch + n] = v;
-                }
-            }
+            transpose(input.data(), batch, in_f, xt);
             let weights = StridedA::row_major(self.weight.data(), in_f);
             gemm_kn(out_f, batch, in_f, weights, xt, BiasMode::None, yt);
             for (n, y_row) in out.data_mut().chunks_exact_mut(out_f).enumerate() {
