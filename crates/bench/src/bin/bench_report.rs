@@ -22,14 +22,21 @@
 //!   (`DqnAgent::train_on_batch`) and one BERRY dual-pass update
 //!   (`berry_update_step_with_scratch`) on an ε = 1 Quick replay — the
 //!   calls that make up nearly all of a Quick campaign's wall-clock;
+//! * **pair update** — where one C3F2 pair update (a Classical and a
+//!   BERRY update, batch 32) spends its time, every figure timed around
+//!   public calls: each layer's batch-lane forward and backward, the
+//!   network-edge transposes, `PerturbContext::refresh`,
+//!   `sample_fault_map`, `perturb_map_into`, one `Adam::step`, and the
+//!   pair update timed in alternation with its GEMM products on dense
+//!   operands, which leaves its non-GEMM time;
 //! * **Reference kernels** — GFLOP/s of the Reference tier's two GEMM
 //!   kernels on the per-sample conv2/conv3 shapes of C3F2 (what inference
 //!   below batch 16 runs): the scalar register tile (`gemm_nt`) and the
 //!   lanes-across-outputs kernel (`gemm_kn`) on the detected backend and
 //!   on its portable fallback (same products, same bits); the C3F2
-//!   convolutions' lanes-across-the-batch passes — forward, dW and dX at
-//!   batch 32, `infer_with` at batch 8, 16 and 32 — in µs; and C3F2
-//!   `infer_into` at batch 1 and 8;
+//!   convolutions' batch-lane routines — forward, dW and dX at batch 32,
+//!   inference at batch 16 and 32 — and their per-sample `infer_with` at
+//!   batch 8, in µs; and C3F2 `infer_into` at batch 1 and 8;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
 //!   once under the legacy contiguous partition and once under the
@@ -46,15 +53,16 @@ use berry_core::evaluate::{
     evaluate_under_faults_serial, fault_map_seed, FaultEvaluationConfig,
 };
 use berry_core::experiment::ExperimentScale;
-use berry_core::perturb::NetworkPerturber;
+use berry_core::perturb::{NetworkPerturber, PerturbContext};
 use berry_core::robust::{berry_update_step_with_scratch, DualPassScratch};
 use berry_core::{CampaignRow, PolicyStore, Scenario};
 use berry_faults::chip::ChipProfile;
 use berry_nn::gemm::{
-    detected_fast_backend, gemm_flops, gemm_kn_with_backend, gemm_nt, gemm_nt_with, im2col,
+    detected_fast_backend, gemm_flops, gemm_kn, gemm_kn_with_backend, gemm_nt, gemm_nt_with, im2col,
     BiasMode, FastBackend, GemmScratch, Im2colShape, Precision, StridedA,
 };
-use berry_nn::layer::{Conv2d, Dense, Layer};
+use berry_nn::layer::{from_batch_lanes, to_batch_lanes, Conv2d, Dense, Flatten, Layer, Relu};
+use berry_nn::optim::{Adam, Optimizer};
 use berry_nn::network::InferScratch;
 use berry_nn::tensor::Tensor;
 use berry_rl::dqn::DqnAgent;
@@ -74,7 +82,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 15;
+const PR: u32 = 16;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -361,6 +369,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let _ = writeln!(json, "  }},");
 
+    // --- Pair update: where a Classical + BERRY update spends its time. ---
+    let pair_update = pair_update_us()?;
+    let _ = writeln!(json, "  \"pair_update\": {{");
+    let _ = writeln!(json, "    \"batch\": 32,");
+    for (i, (name, us)) in pair_update.iter().enumerate() {
+        let comma = if i + 1 == pair_update.len() { "" } else { "," };
+        println!("pair     {name:<32} {us:>9.1} µs");
+        let _ = writeln!(json, "    \"{name}\": {us:.1}{comma}");
+    }
+    let _ = writeln!(json, "  }},");
+
     // --- Reference tier: scalar tile vs lanes-across-outputs kernel. ---
     let _ = writeln!(json, "  \"reference_kernels\": {{");
     let _ = writeln!(json, "    \"backend\": \"{}\",", detected_fast_backend().name());
@@ -561,26 +580,7 @@ fn training_ms() -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>>
     }
 
     let config = ExperimentScale::Quick.trainer_config();
-    let mut replay = ReplayBuffer::new(1_024)?;
-    while replay.len() < 1_024 {
-        let mut obs = env.reset(&mut rng);
-        for _ in 0..config.max_steps_per_episode {
-            let action = rng.gen_range(0..actions);
-            let outcome = env.step(action, &mut rng);
-            let done = outcome.is_terminal();
-            replay.push(Transition {
-                state: obs,
-                action,
-                reward: outcome.reward,
-                next_state: outcome.observation.clone(),
-                done,
-            });
-            obs = outcome.observation;
-            if done || replay.len() == 1_024 {
-                break;
-            }
-        }
-    }
+    let replay = quick_replay(&mut env, &mut rng)?;
     let batch_size = config.dqn.batch_size;
     let mut classical = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, config.dqn, &mut rng)?;
     let mut berry = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, config.dqn, &mut rng)?;
@@ -603,6 +603,250 @@ fn training_ms() -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>>
     rows.push(("c3f2_classical_update_ms", classical_ms));
     rows.push(("c3f2_berry_update_ms", berry_ms));
     Ok(rows)
+}
+
+/// A full 1 024-transition replay of ε = 1 Quick episodes.
+fn quick_replay(env: &mut NavigationEnv, rng: &mut StdRng) -> Result<ReplayBuffer, Box<dyn std::error::Error>> {
+    let max_steps = ExperimentScale::Quick.trainer_config().max_steps_per_episode;
+    let actions = env.num_actions();
+    let mut replay = ReplayBuffer::new(1_024)?;
+    while replay.len() < 1_024 {
+        let mut obs = env.reset(rng);
+        for _ in 0..max_steps {
+            let action = rng.gen_range(0..actions);
+            let outcome = env.step(action, rng);
+            let done = outcome.is_terminal();
+            replay.push(Transition {
+                state: obs,
+                action,
+                reward: outcome.reward,
+                next_state: outcome.observation.clone(),
+                done,
+            });
+            obs = outcome.observation;
+            if done || replay.len() == 1_024 {
+                break;
+            }
+        }
+    }
+    Ok(replay)
+}
+
+/// The pair-update section, in µs at batch 32 on the Quick C3F2 policy:
+///
+/// * per layer, the batch-lane forward and backward of a training pass
+///   (the first layer's backward computes dW only, as in a training
+///   step), and the transposes at the network's edges (input, output and
+///   output gradient);
+/// * the rest of BERRY's step: `PerturbContext::refresh` (re-quantizing
+///   θ), `sample_fault_map` and `perturb_map_into`, and one `Adam::step`;
+/// * a pair update (a Classical and a BERRY update on an ε = 1 Quick
+///   replay) and its GEMM time: the lanes-kernel products one pair
+///   update runs, each on dense operands of its shape (see
+///   [`pair_update_products`]).  The two are timed in alternation, each
+///   warm, so a change in host load reaches both, and `non_gemm_us` is
+///   the median of the per-round differences.
+fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
+    const N: usize = 32;
+    let mut rng = StdRng::seed_from_u64(TRAIN_SEED ^ 2);
+    let mut env = NavigationEnv::new(ExperimentScale::Quick.navigation_config(ObstacleDensity::Medium))?;
+    let shape = env.observation_shape();
+    let actions = env.num_actions();
+    let (c, h, w) = (shape[0], shape[1], shape[2]);
+    let (h2, w2) = ((h - 1) / 2 + 1, (w - 1) / 2 + 1);
+    // QNetworkSpec::C3F2, layer by layer.
+    let mut layers: Vec<(&str, Box<dyn Layer>)> = vec![
+        ("conv1", Box::new(Conv2d::new(c, 8, 3, 1, 1, &mut rng))),
+        ("relu1", Box::new(Relu::new())),
+        ("conv2", Box::new(Conv2d::new(8, 16, 3, 2, 1, &mut rng))),
+        ("relu2", Box::new(Relu::new())),
+        ("conv3", Box::new(Conv2d::new(16, 16, 3, 1, 1, &mut rng))),
+        ("relu3", Box::new(Relu::new())),
+        ("flatten", Box::new(Flatten::new())),
+        ("fc1", Box::new(Dense::new(16 * h2 * w2, 64, &mut rng))),
+        ("relu4", Box::new(Relu::new())),
+        ("fc2", Box::new(Dense::new_xavier(64, actions, &mut rng))),
+    ];
+    let input = Tensor::rand_uniform(&[N, c, h, w], 0.0, 1.0, &mut rng);
+    let grad = Tensor::rand_uniform(&[N, actions], -1.0, 1.0, &mut rng);
+    let mut forward = vec![Vec::new(); layers.len()];
+    let mut backward = vec![Vec::new(); layers.len()];
+    let mut edges = Vec::new();
+    let us = |start: Instant| start.elapsed().as_secs_f64() * 1e6;
+    for rep in 0..10 * TRAIN_REPS + 2 {
+        let start = Instant::now();
+        let mut x = to_batch_lanes(&input);
+        let mut edge_us = us(start);
+        let mut pass = vec![(0.0, 0.0); layers.len()];
+        for ((_, layer), (f, _)) in layers.iter_mut().zip(pass.iter_mut()) {
+            let start = Instant::now();
+            x = layer.forward_lanes(x);
+            *f = us(start);
+        }
+        let start = Instant::now();
+        drop(from_batch_lanes(&x));
+        let mut g = to_batch_lanes(&grad);
+        edge_us += us(start);
+        for (i, ((_, layer), (_, b))) in layers.iter_mut().zip(pass.iter_mut()).enumerate().rev() {
+            let start = Instant::now();
+            if i == 0 {
+                layer.backward_params_lanes(std::mem::take(&mut g));
+            } else {
+                g = layer.backward_lanes(g);
+            }
+            *b = us(start);
+        }
+        for (_, layer) in &mut layers {
+            layer.zero_grad();
+        }
+        // The first two passes warm the buffers.
+        if rep >= 2 {
+            for (i, (f, b)) in pass.into_iter().enumerate() {
+                forward[i].push(f);
+                backward[i].push(b);
+            }
+            edges.push(edge_us);
+        }
+    }
+    let mut rows = Vec::new();
+    for (((name, _), f), b) in layers.iter().zip(forward).zip(backward) {
+        rows.push((format!("{name}_forward_us"), median(f)));
+        rows.push((format!("{name}_backward_us"), median(b)));
+    }
+    rows.push(("edges_us".into(), median(edges)));
+
+    let mut net = QNetworkSpec::C3F2.build(&shape, actions, &mut rng)?;
+    let mut context = PerturbContext::new(&net, 8)?;
+    rows.push(("refresh_us".into(), median_call_us(|| context.refresh(&net).expect("refresh"))));
+    let (perturber, chip) = (NetworkPerturber::new(8)?, ChipProfile::generic());
+    let sample = median_call_us(|| {
+        drop(perturber.sample_fault_map(&net, &chip, BER, &mut rng).expect("fault map"));
+    });
+    rows.push(("sample_fault_map_us".into(), sample));
+    let map = perturber.sample_fault_map(&net, &chip, BER, &mut rng)?;
+    let mut perturbed = context.checkout();
+    let perturb = median_call_us(|| context.perturb_map_into(&map, &mut perturbed).expect("perturb"));
+    rows.push(("perturb_map_into_us".into(), perturb));
+    net.forward(&input);
+    net.backward_params(&grad);
+    let dqn = ExperimentScale::Quick.trainer_config().dqn;
+    let mut adam = Adam::new(dqn.learning_rate).with_grad_clip(dqn.grad_clip);
+    rows.push(("adam_step_us".into(), median_call_us(|| adam.step(&mut net))));
+
+    let replay = quick_replay(&mut env, &mut rng)?;
+    let dqn = ExperimentScale::Quick.trainer_config().dqn;
+    let mut classical = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, dqn, &mut rng)?;
+    let mut berry = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, dqn, &mut rng)?;
+    let mut scratch = DualPassScratch::new();
+    let mut products = pair_update_products(c, (h, w), actions, &mut rng);
+    let (mut pair, mut gemm, mut non_gemm) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..TRAIN_REPS + 2 {
+        // Each side runs once untimed first: the other side's data
+        // (≈ 2 MB of dense operands) would otherwise have evicted its
+        // own from the caches.
+        let mut pair_us = 0.0;
+        for _ in 0..2 {
+            let (classical_batch, berry_batch) = (replay.sample(N, &mut rng)?, replay.sample(N, &mut rng)?);
+            let map = perturber.sample_fault_map(berry.q_net(), &chip, BER, &mut rng)?;
+            let start = Instant::now();
+            classical.train_on_batch(&classical_batch)?;
+            berry_update_step_with_scratch(&mut berry, &berry_batch, &perturber, &map, &mut scratch)?;
+            pair_us = us(start);
+        }
+        let mut gemm_us = 0.0;
+        for _ in 0..2 {
+            let start = Instant::now();
+            for product in &mut products {
+                product.run();
+            }
+            gemm_us = us(start);
+        }
+        // The first two rounds warm the buffers.
+        if rep >= 2 {
+            pair.push(pair_us);
+            gemm.push(gemm_us);
+            non_gemm.push(pair_us - gemm_us);
+        }
+    }
+    rows.push(("pair_us".into(), median(pair)));
+    rows.push(("gemm_estimate_us".into(), median(gemm)));
+    rows.push(("non_gemm_us".into(), median(non_gemm)));
+    Ok(rows)
+}
+
+/// One lanes-kernel product shape of the pair update, with dense
+/// operands, and how many times a pair update runs it.
+struct Product {
+    m: usize,
+    n: usize,
+    k: usize,
+    calls: usize,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    c: Vec<f32>,
+}
+
+impl Product {
+    /// Runs the product `calls` times.
+    fn run(&mut self) {
+        let Product { m, n, k, calls, .. } = *self;
+        for _ in 0..calls {
+            let a = StridedA::row_major(&self.a, k);
+            gemm_kn(m, n, k, a, &self.b, BiasMode::None, &mut self.c);
+        }
+        std::hint::black_box(&self.c);
+    }
+}
+
+/// The Reference lanes-kernel products of one C3F2 pair update at batch
+/// 32 — three training passes (forward, then dW of every layer and dX of
+/// all but the first) and three target inferences — on dense operands.
+///
+/// # Panics
+///
+/// Panics unless the observation is 9×9, the plane the product list
+/// below (conv2's stride phases in particular) is written for.
+fn pair_update_products(c: usize, (h, w): (usize, usize), actions: usize, rng: &mut StdRng) -> Vec<Product> {
+    const N: usize = 32;
+    assert_eq!((h, w), (9, 9), "the product list is written for a 9×9 observation");
+    // (m, n, k, products per pass)
+    let forward = [
+        (8, 9 * N, 9 * c, 9),
+        (16, N, 72, 25),
+        (16, 5 * N, 144, 5),
+        (64, N, 400, 1),
+        (actions, N, 64, 1),
+    ];
+    let backward = [
+        // dW: conv1–3, fc1, fc2.
+        (9 * c, 8, 81 * N, 1),
+        (72, 16, 25 * N, 1),
+        (144, 16, 25 * N, 1),
+        (64, 400, N, 1),
+        (actions, 64, N, 1),
+        // dX: fc2, fc1, conv3 (one product per input row), conv2 (one
+        // per row of each stride phase: 4×4 pixels with 4 taps, 4×5 and
+        // 5×4 with 2, 5×5 with 1).
+        (64, N, actions, 1),
+        (400, N, 64, 1),
+        (16, 5 * N, 144, 5),
+        (8, 4 * N, 64, 4),
+        (8, 5 * N, 32, 4),
+        (8, 4 * N, 32, 5),
+        (8, 5 * N, 16, 5),
+    ];
+    let passes = forward.map(|shape| (shape, 6)).into_iter().chain(backward.map(|shape| (shape, 3)));
+    passes
+        .map(|((m, n, k, count), passes)| Product {
+            m,
+            n,
+            k,
+            calls: count * passes,
+            a: Tensor::rand_uniform(&[m * k], -1.0, 1.0, rng).into_data(),
+            b: Tensor::rand_uniform(&[k * n], -1.0, 1.0, rng).into_data(),
+            c: vec![0.0; m * n],
+        })
+        .collect()
 }
 
 /// GFLOP/s of the Reference tier's kernels on one sample's C3F2 conv2 and
@@ -643,11 +887,12 @@ fn reference_kernel_gflops() -> Vec<(String, f64)> {
     rows
 }
 
-/// Median µs of the C3F2 convolutions' passes: `forward`,
-/// `backward_params` (dW and the bias gradient) and the dX share of
-/// `backward` (its median less `backward_params`') at batch 32, all with
-/// lanes across the batch, and Reference `infer_with` at batch 8 (the
-/// per-sample path), 16 and 32 (lanes across the batch).
+/// Median µs of the C3F2 convolutions' batch-lane routines at batch 32:
+/// `forward_lanes`, `backward_params_lanes` (dW and the bias gradient) and
+/// the dX share of `backward_lanes` (its median less
+/// `backward_params_lanes`'), each call's operand copied outside the
+/// timed call; `infer_lanes` at batch 16 and 32; and the per-sample
+/// Reference `infer_with` at batch 8.
 fn conv_pass_us() -> Vec<(String, f64)> {
     let mut r = StdRng::seed_from_u64(23);
     let mut rows = Vec::new();
@@ -658,24 +903,45 @@ fn conv_pass_us() -> Vec<(String, f64)> {
     {
         let name = format!("c3f2_conv{}", index + 1);
         let mut conv = Conv2d::new(ic, oc, 3, stride, 1, &mut r);
-        let x = Tensor::rand_uniform(&[32, ic, size, size], -1.0, 1.0, &mut r);
+        let x = to_batch_lanes(&Tensor::rand_uniform(&[32, ic, size, size], -1.0, 1.0, &mut r));
         let out = conv.output_size(size);
-        let go = Tensor::rand_uniform(&[32, oc, out, out], -1.0, 1.0, &mut r);
-        let forward = median_call_us(|| drop(std::hint::black_box(conv.forward(&x))));
-        let dw = median_call_us(|| conv.backward_params(&go));
-        let backward = median_call_us(|| drop(std::hint::black_box(conv.backward(&go))));
+        let go = to_batch_lanes(&Tensor::rand_uniform(&[32, oc, out, out], -1.0, 1.0, &mut r));
+        let forward = median_owned_call_us(&x, |x| drop(std::hint::black_box(conv.forward_lanes(x))));
+        let dw = median_owned_call_us(&go, |go| conv.backward_params_lanes(go));
+        let backward = median_owned_call_us(&go, |go| drop(std::hint::black_box(conv.backward_lanes(go))));
         rows.push((format!("{name}_b32_forward_us"), forward));
         rows.push((format!("{name}_b32_dw_us"), dw));
         rows.push((format!("{name}_b32_dx_us"), (backward - dw).max(0.0)));
         let mut gemm = GemmScratch::new();
         let mut y = Tensor::default();
-        for batch in [8usize, 16, 32] {
-            let xb = Tensor::rand_uniform(&[batch, ic, size, size], -1.0, 1.0, &mut r);
-            let infer = median_call_us(|| conv.infer_with(&xb, &mut y, &mut gemm));
+        let xb = Tensor::rand_uniform(&[8, ic, size, size], -1.0, 1.0, &mut r);
+        let infer = median_call_us(|| conv.infer_with(&xb, &mut y, &mut gemm));
+        rows.push((format!("{name}_infer_b8_us"), infer));
+        for batch in [16usize, 32] {
+            let xb = to_batch_lanes(&Tensor::rand_uniform(&[batch, ic, size, size], -1.0, 1.0, &mut r));
+            let infer = median_call_us(|| conv.infer_lanes(&xb, &mut y));
             rows.push((format!("{name}_infer_b{batch}_us"), infer));
         }
     }
     rows
+}
+
+/// Median µs of `f` over 201 calls after 20 warm-up calls, each handed a
+/// fresh copy of `operand` made outside the timed call.
+fn median_owned_call_us<F: FnMut(Tensor)>(operand: &Tensor, mut f: F) -> f64 {
+    for _ in 0..20 {
+        f(operand.clone());
+    }
+    median(
+        (0..201)
+            .map(|_| {
+                let owned = operand.clone();
+                let start = Instant::now();
+                f(owned);
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect(),
+    )
 }
 
 /// Runs `f` repeatedly in three ≥ ~0.1 s windows (after one warm-up

@@ -1,31 +1,27 @@
 //! 2-D convolution layer on the Reference tier's lanes kernel.
 //!
-//! Batches of [`BATCH_LANES_MIN`] and more — training, and inference at
-//! the Reference tier — run with SIMD lanes across the **batch**.  The input is copied once into a zero-bordered,
-//! batch-innermost buffer `xb[ic][iy + p][ix + p][n]`; there, every kernel
+//! The layer's one training implementation runs in the batch-lane layout
+//! (see the [`super`] module docs), with SIMD lanes across the **batch**.
+//! Its input `[ic][iy][ix][n]` is copied once, row by row, into a
+//! zero-bordered buffer `xb[ic][iy + p][ix + p][n]`; there, every kernel
 //! tap of every output pixel is one contiguous run of samples, so the
 //! forward, dW and dX products read their operands in place through
-//! offset tables — no im2col, no re-unrolling, no gather copy.  Backward
-//! always works this way.  Smaller forward batches (action selection, the
-//! lockstep rollout lanes) unroll each sample's patches and run lanes
-//! across output pixels; the Fast tier keeps its packed kernels.
+//! offset tables — no im2col, no re-unrolling, no gather copy — and the
+//! forward's product `C[oc][oy][ox][n]` is the output itself.  The
+//! batch-outer `forward`/`backward` convert at the layer's edges around
+//! those routines.  Inference below [`BATCH_LANES_MIN`] (action
+//! selection, the lockstep rollout lanes) unrolls each sample's patches
+//! and runs lanes across output pixels; the Fast tier keeps its packed
+//! kernels.
 
-use super::Layer;
+use super::{from_batch_lanes, from_batch_lanes_into, to_batch_lanes, Layer, BATCH_LANES_MIN};
 use crate::gemm::{
-    detected_fast_backend, gemm_kn, gemm_kn_at, gemm_nt_with, BiasMode, GemmScratch,
-    Im2colShape, KnOperands, Precision, Stride, StridedA, transpose, transpose_rows,
+    detected_fast_backend, gemm_kn, gemm_kn_at, gemm_nt_with, transpose, transpose_rows, BiasMode,
+    GemmScratch, Im2colShape, KnOperands, Precision, Stride, StridedA,
 };
 use crate::init;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
-
-/// Smallest batch whose Reference-tier forward runs with lanes across the
-/// batch.  Below it the per-sample path (lanes across output pixels) is
-/// as fast or faster — at batch 8 the batch lanes only tie on the
-/// policies' deeper convolutions and lose on the first, and at batch 1
-/// they fill one lane in eight — and both paths produce the same bits, so
-/// this moves speed only.
-const BATCH_LANES_MIN: usize = 16;
 
 /// A 2-D convolution over `[batch, channels, height, width]` inputs.
 ///
@@ -57,8 +53,8 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    /// The last training forward's input in the batch-lane layout — the
-    /// one copy backward reads; `None` before the first forward.
+    /// The last training forward's input in its bordered batch-lane copy —
+    /// the one copy backward reads; `None` before the first forward.
     cached_input: Option<LaneInput>,
     in_channels: usize,
     out_channels: usize,
@@ -68,13 +64,13 @@ pub struct Conv2d {
     scratch: TrainScratch,
 }
 
-/// An input batch in the batch-lane layout: `xb[ic][iy + p][ix + p][n]`
-/// with `+0.0` in the `p`-wide border.
+/// An input batch in the bordered batch-lane layout: `xb[ic][iy + p][ix +
+/// p][n]` with `+0.0` in the `p`-wide border.
 #[derive(Debug, Clone, Default)]
 struct LaneInput {
     xb: Vec<f32>,
-    /// The input's `[batch, channels, height, width]`.
-    shape: [usize; 4],
+    /// The input's batch-lane `[channels, height, width, batch]`.
+    dims: [usize; 4],
 }
 
 /// The buffers one batch-lane pass uses and drops, sized for the whole
@@ -86,16 +82,15 @@ struct LaneInput {
 struct PassScratch {
     /// The offset tables of the current product.
     offsets: Vec<usize>,
-    /// Forward: the output before its transpose, `[oc][pixel][n]`.
-    /// Backward: the weight gradient transposed, `[tap][oc]`, then the
-    /// input gradient before its transpose, `[ic][iy][ix][n]`.
+    /// Backward: the weight gradient transposed, `[tap][oc]`, then at
+    /// stride > 1 the input gradient phase by phase (see
+    /// [`Lanes::input_gradient`]).
     c: Vec<f32>,
-    /// Backward: the output gradient transposed per sample,
-    /// `[n][pixel][oc]`, then in the batch-lane layout with a zero border
-    /// wide enough for every tap of the flipped kernel (see
-    /// [`Lanes::go_extent`]).
+    /// Backward: the output gradient transposed to `[n][pixel][oc]`, then
+    /// in the bordered batch-lane layout with a border wide enough for
+    /// every tap of the flipped kernel (see [`Lanes::go_extent`]).
     go: Vec<f32>,
-    /// Inference: the input's batch-lane copy.
+    /// Inference: the input's bordered batch-lane copy.
     xb: Vec<f32>,
     /// Training forward below [`BATCH_LANES_MIN`]: the per-sample path's
     /// patch buffers, at the Reference tier.
@@ -128,14 +123,23 @@ struct TrainScratch {
 /// that can reach an output pixel from them.  Every other tap only ever
 /// meets a stride gap, so leaving it out drops exact-zero terms and
 /// nothing else.
+///
+/// The phase's pixels form a grid, `(iy0 + r·s, ix0 + c·s)`; its input
+/// gradient is computed into a phase-major `[ic][r][c][n]` block, where
+/// the pixels of one phase row are adjacent — and so are their B rows in
+/// the output gradient's bordered copy, so one product covers the row.
 #[derive(Debug)]
 struct StridePhase {
-    /// Runs of input pixels, ascending: the first pixel's flat index
-    /// `iy·w + ix`, the offset in the output gradient's batch-lane copy
-    /// its B rows are relative to, and the run's length.  A run's pixels
-    /// are adjacent both in the input and in that copy, so one product
-    /// covers it.
-    pixels: Vec<(usize, usize, usize)>,
+    /// The first pixel `(iy0, ix0)`.
+    origin: (usize, usize),
+    /// The grid's `(rows, cols)`.
+    extent: (usize, usize),
+    /// Runs of the grid's pixels, ascending: the first pixel's index
+    /// `r·cols + c`, the offset in the output gradient's bordered copy its
+    /// B rows are relative to, and the run's length.  A run's pixels are
+    /// adjacent both in the block and in that copy, so one product covers
+    /// it.
+    runs: Vec<(usize, usize, usize)>,
     /// The reaching taps `(kh, kw)` in flipped order: `kh` descending,
     /// then `kw` descending.
     taps: Vec<(usize, usize)>,
@@ -169,9 +173,15 @@ impl Lanes {
         self.shape.rows()
     }
 
-    /// The output's `[batch, out_channels, out_h, out_w]`.
+    /// The input's batch-lane `[channels, height, width, batch]`.
+    fn in_dims(&self) -> [usize; 4] {
+        let Im2colShape { channels, height, width, .. } = self.shape;
+        [channels, height, width, self.batch]
+    }
+
+    /// The output's batch-lane `[out_channels, out_h, out_w, batch]`.
     fn out_dims(&self) -> [usize; 4] {
-        [self.batch, self.out_c, self.shape.out_h, self.shape.out_w]
+        [self.out_c, self.shape.out_h, self.shape.out_w, self.batch]
     }
 
     /// The bordered extent of the input's batch-lane copy.
@@ -180,10 +190,10 @@ impl Lanes {
         (height + 2 * padding, width + 2 * padding)
     }
 
-    /// Copies `input` (`[n][ic][iy][ix]`) into its batch-lane layout.
+    /// Copies a batch-lane input into its bordered copy `xb`.
     fn fill_input(&self, input: &[f32], xb: &mut Vec<f32>) {
         let Im2colShape { channels, height, width, padding, .. } = self.shape;
-        to_batch_lanes(input, self.batch, channels, (height, width), self.padded(), padding, xb);
+        fill_bordered(input, self.batch, channels, (height, width), self.padded(), padding, xb);
     }
 
     /// Appends the offset in `xb` of every tap `(ic, kh, kw)`, ascending,
@@ -212,19 +222,17 @@ impl Lanes {
         }
     }
 
-    /// `out = bias ⊕ W ⊛ x` from the input's batch-lane copy `xb`.  Per
-    /// output pixel `q`, `C_q[oc][n] = bias[oc] ⊕ Σ_tap W[oc][tap] ·
-    /// xb[tap_at[tap] + pixel_at[q] + n]` with taps ascending — the
-    /// direct kernel's order, padding taps reading the `+0.0` border —
-    /// then `C` (`[oc][q][n]`) is transposed into `out` (`[n][oc][q]`).
-    fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], pass: &mut PassScratch, out: &mut [f32]) {
+    /// `out = bias ⊕ W ⊛ x` from the input's bordered copy `xb`, into the
+    /// batch-lane output `out` (`[oc][q][n]`): per output pixel `q`,
+    /// `out[oc][q][n] = bias[oc] ⊕ Σ_tap W[oc][tap] · xb[tap_at[tap] +
+    /// pixel_at[q] + n]` with taps ascending — the direct kernel's order,
+    /// padding taps reading the `+0.0` border.
+    fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], offsets: &mut Vec<usize>, out: &mut [f32]) {
         let (n, plane, taps) = (self.batch, self.out_plane(), self.taps());
-        let PassScratch { offsets, c, .. } = pass;
         offsets.clear();
         self.push_tap_offsets(offsets);
         self.push_pixel_offsets(0, offsets);
         let (tap_at, pixel_at) = offsets.split_at(taps);
-        c.resize(self.out_c * plane * n, 0.0);
         let backend = detected_fast_backend();
         // At stride 1 a whole output row's windows are adjacent in `xb`,
         // so one product covers the row: its lanes run over `(ox, n)`.
@@ -239,16 +247,23 @@ impl Lanes {
                 ldc: plane * n,
             };
             let bias = BiasMode::RowInit(bias);
-            gemm_kn_at(self.out_c, run * n, taps, &ops, bias, &mut c[q * n..], backend);
+            gemm_kn_at(self.out_c, run * n, taps, &ops, bias, &mut out[q * n..], backend);
         }
-        transpose(c, self.out_c * plane, n, out);
     }
 
-    /// `dW += Σ_(n, q) x·go` in the direct kernel's `(n, oy, ox)` order:
-    /// `dWᵀ[tap][oc] += Σ_(n,q) xb[tap_at[tap] + pixel_at[q] + n] ·
-    /// goᵀ[(n, q)][oc]`, lanes across `oc`, `A` read from `xb` through
-    /// its row (tap) and column (sample, pixel) tables.
-    fn weight_gradient(&self, xb: &[f32], go: &[f32], pass: &mut PassScratch, grad_weight: &mut [f32]) {
+    /// `dW += Σ_(n, q) x·go` and `db += Σ_(n, q) go` in the direct
+    /// kernel's `(n, oy, ox)` order, from the batch-lane output gradient
+    /// `go` (`[oc][q][n]`): `dWᵀ[tap][oc] += Σ_(n,q) xb[tap_at[tap] +
+    /// pixel_at[q] + n] · goᵀ[(n, q)][oc]`, lanes across `oc`, `A` read
+    /// from `xb` through its row (tap) and column (sample, pixel) tables.
+    fn weight_gradient(
+        &self,
+        xb: &[f32],
+        go: &[f32],
+        pass: &mut PassScratch,
+        grad_weight: &mut [f32],
+        grad_bias: &mut [f32],
+    ) {
         let (n, plane, taps, oc) = (self.batch, self.out_plane(), self.taps(), self.out_c);
         let PassScratch {
             offsets,
@@ -262,9 +277,15 @@ impl Lanes {
             self.push_pixel_offsets(lane, offsets);
         }
         let (tap_at, col_at) = offsets.split_at(taps);
+        // goᵀ[(n, q)][oc]: source column `q·n + lane` lands on row
+        // `lane·plane + q`.
         go_t.resize(go.len(), 0.0);
-        for (go_n, go_t_n) in go.chunks_exact(oc * plane).zip(go_t.chunks_exact_mut(oc * plane)) {
-            transpose(go_n, oc, plane, go_t_n);
+        let row_at = (0..plane * n).map(|j| (j % n * plane + j / n) * oc);
+        transpose_rows(go, plane * n, oc, plane * n, go_t, row_at);
+        for go_row in go_t.chunks_exact(oc) {
+            for (gb, &g) in grad_bias.iter_mut().zip(go_row) {
+                *gb += g;
+            }
         }
         // The accumulator is dWᵀ, so `BiasMode::Accumulate` continues each
         // weight's sum from its current gradient.
@@ -282,7 +303,7 @@ impl Lanes {
         transpose(c, taps, oc, grad_weight);
     }
 
-    /// The extent `(rows, cols)` of the output gradient's batch-lane copy
+    /// The extent `(rows, cols)` of the output gradient's bordered copy
     /// and the width of its top and left zero border.  The border holds
     /// every flipped tap that falls before the output (`oy < 0`), the
     /// extent every one past it, so out-of-range taps read `+0.0`.
@@ -293,6 +314,13 @@ impl Lanes {
         let rows = border + out_h.max((h - 1 + p) / s + 1);
         let cols = border + out_w.max((w - 1 + p) / s + 1);
         ((rows, cols), border)
+    }
+
+    /// Copies the batch-lane output gradient into its bordered copy.
+    fn fill_output_gradient(&self, go: &[f32], gb: &mut Vec<f32>) {
+        let (extent, border) = self.go_extent();
+        let out = (self.shape.out_h, self.shape.out_w);
+        fill_bordered(go, self.batch, self.out_c, out, extent, border, gb);
     }
 
     /// Rebuilds the stride phases with their offset tables when the
@@ -324,55 +352,50 @@ impl Lanes {
                         rows.push(((oc * gh + border - kh / s) * gw + border - kw / s) * n);
                     }
                 }
-                let mut pixels = Vec::new();
-                for iy in (0..h).filter(|iy| (iy + p) % s == phase_y) {
-                    for ix in (0..w).filter(|ix| (ix + p) % s == phase_x) {
-                        let (pixel, base) = (iy * w + ix, ((iy + p) / s * gw + (ix + p) / s) * n);
-                        // Adjacent pixels whose B rows are adjacent too
-                        // (a row at stride 1) share one product.
-                        match pixels.last_mut() {
+                // The first pixel on the phase, and the grid's extent.
+                let (iy0, ix0) = ((phase_y + s - p % s) % s, (phase_x + s - p % s) % s);
+                let extent = (h.saturating_sub(iy0).div_ceil(s), w.saturating_sub(ix0).div_ceil(s));
+                let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+                for r in 0..extent.0 {
+                    for c in 0..extent.1 {
+                        let (iy, ix) = (iy0 + r * s, ix0 + c * s);
+                        let (pixel, base) = (r * extent.1 + c, ((iy + p) / s * gw + (ix + p) / s) * n);
+                        // Adjacent pixels whose B rows are adjacent too (a
+                        // phase row, or more) share one product.
+                        match runs.last_mut() {
                             Some((first, first_base, len))
                                 if *first + *len == pixel && *first_base + *len * n == base =>
                             {
                                 *len += 1;
                             }
-                            _ => pixels.push((pixel, base, 1)),
+                            _ => runs.push((pixel, base, 1)),
                         }
                     }
                 }
                 // A phase without taps keeps its pixels: their `k = 0`
                 // products write the `+0.0` the direct kernel leaves.
-                if !pixels.is_empty() {
-                    phases.push(StridePhase { pixels, taps, rows });
+                if !runs.is_empty() {
+                    phases.push(StridePhase { origin: (iy0, ix0), extent, runs, taps, rows });
                 }
             }
         }
         scratch.phase_key = key;
     }
 
-    /// `dX = Wf ⊛ go`: per stride phase and input pixel, `dX[ic][n] =
-    /// Σ_(oc, kh↓, kw↓) Wf[ic][k] · gb[base + rows[k] + n]` over the
-    /// output gradient's batch-lane copy `gb`, then transposed into
-    /// `grad_input` (`[n][ic][iy][ix]`).
-    fn input_gradient(
-        &self,
-        weight: &[f32],
-        go: &[f32],
-        tables: &mut TrainScratch,
-        pass: &mut PassScratch,
-        grad_input: &mut [f32],
-    ) {
+    /// `dX = Wf ⊛ go` from the output gradient's bordered copy `gb`
+    /// (`pass.go`, see [`Lanes::fill_output_gradient`]) into the
+    /// batch-lane `grad_input` (`[ic][iy][ix][n]`): per stride phase and
+    /// run of its pixels, `dX[ic][n] = Σ_(oc, kh↓, kw↓) Wf[ic][k] ·
+    /// gb[base + rows[k] + n]`.  At stride 1 the one phase is the whole
+    /// plane and the products write `grad_input` in place; at larger
+    /// strides each phase's block is computed in `pass.c`, then copied to
+    /// its pixels sample run by sample run.
+    fn input_gradient(&self, weight: &[f32], tables: &mut TrainScratch, pass: &mut PassScratch, grad_input: &mut [f32]) {
         self.prepare_phases(tables);
-        let (k, n, ic_n, oc_n) = (self.shape.kernel, self.batch, self.shape.channels, self.out_c);
+        let Im2colShape { channels: ic_n, height: h, width: w, kernel: k, stride: s, .. } = self.shape;
+        let (n, oc_n) = (self.batch, self.out_c);
         let TrainScratch { phases, flipped, .. } = tables;
-        let PassScratch {
-            go: go_lanes,
-            c: dx_lanes,
-            ..
-        } = pass;
-        let (extent, border) = self.go_extent();
-        let out_extent = (self.shape.out_h, self.shape.out_w);
-        to_batch_lanes(go, n, oc_n, out_extent, extent, border, go_lanes);
+        let PassScratch { go: gb, c: block, .. } = pass;
 
         // The weights moved since the last backward: re-flip them.
         flipped.clear();
@@ -384,36 +407,53 @@ impl Lanes {
                 }
             }
         }
-        let in_plane = self.shape.height * self.shape.width;
-        dx_lanes.resize(ic_n * in_plane * n, 0.0);
         let backend = detected_fast_backend();
         let mut flipped_at = 0;
         for phase in phases.iter() {
             let kc = oc_n * phase.taps.len();
             let wf = &flipped[flipped_at..flipped_at + ic_n * kc];
             flipped_at += ic_n * kc;
-            for &(pixel, base, len) in &phase.pixels {
+            let (rows, cols) = phase.extent;
+            let plane = rows * cols * n;
+            let dst: &mut [f32] = if s == 1 {
+                &mut *grad_input
+            } else {
+                block.resize(ic_n * plane, 0.0);
+                block
+            };
+            for &(pixel, base, len) in &phase.runs {
                 let ops = KnOperands {
                     a: wf,
                     a_rows: Stride(kc),
                     a_cols: Stride(1),
-                    b: &go_lanes[base..],
+                    b: &gb[base..],
                     b_rows: &phase.rows[..],
-                    ldc: in_plane * n,
+                    ldc: plane,
                 };
-                let dx = &mut dx_lanes[pixel * n..];
-                gemm_kn_at(ic_n, len * n, kc, &ops, BiasMode::None, dx, backend);
+                gemm_kn_at(ic_n, len * n, kc, &ops, BiasMode::None, &mut dst[pixel * n..], backend);
+            }
+            if s > 1 {
+                let (iy0, ix0) = phase.origin;
+                for (ic, block_plane) in block.chunks_exact(plane).enumerate() {
+                    for (r, block_row) in block_plane.chunks_exact(cols * n).enumerate() {
+                        let row_at = (ic * h + iy0 + r * s) * w + ix0;
+                        for (c, samples) in block_row.chunks_exact(n).enumerate() {
+                            let at = (row_at + c * s) * n;
+                            grad_input[at..at + n].copy_from_slice(samples);
+                        }
+                    }
+                }
             }
         }
-        transpose(dx_lanes, ic_n * in_plane, n, grad_input);
     }
 }
 
-/// Copies `src` (`[batch][channels][h][w]`) into the batch-lane layout
+/// Copies the batch-lane `src` (`[ch][y][x][n]`, `h×w` per channel) into
 /// `dst[ch][border + y][border + x][n]` of a `rows×cols` plane per
-/// channel, `+0.0` everywhere outside the copied window.  Every element of
-/// `dst` is written once, so a reused buffer needs no clearing.
-fn to_batch_lanes(
+/// channel, one contiguous run per input row, `+0.0` everywhere outside
+/// the copied window.  Every element of `dst` is written once, so a
+/// reused buffer needs no clearing.
+fn fill_bordered(
     src: &[f32],
     batch: usize,
     channels: usize,
@@ -422,24 +462,23 @@ fn to_batch_lanes(
     border: usize,
     dst: &mut Vec<f32>,
 ) {
-    let (plane, line) = (h * w, cols * batch);
+    let (line, run) = (cols * batch, w * batch);
     dst.resize(channels * rows * line, 0.0);
-    if dst.is_empty() {
+    if dst.is_empty() || run == 0 {
+        dst.fill(0.0);
         return;
     }
-    for (ch, dst_plane) in dst.chunks_exact_mut(rows * line).enumerate() {
-        for (gy, row) in dst_plane.chunks_exact_mut(line).enumerate() {
-            if (border..border + h).contains(&gy) {
-                row[..border * batch].fill(0.0);
-                row[(border + w) * batch..].fill(0.0);
-            } else {
-                row.fill(0.0);
-            }
+    for (dst_plane, src_plane) in dst.chunks_exact_mut(rows * line).zip(src.chunks_exact(h * run)) {
+        let (top, rest) = dst_plane.split_at_mut(border * line);
+        top.fill(0.0);
+        let (window, bottom) = rest.split_at_mut(h * line);
+        bottom.fill(0.0);
+        for (row, src_row) in window.chunks_exact_mut(line).zip(src_plane.chunks_exact(run)) {
+            let (left, rest) = row.split_at_mut(border * batch);
+            left.fill(0.0);
+            rest[..run].copy_from_slice(src_row);
+            rest[run..].fill(0.0);
         }
-        let src_plane = &src[ch * plane..];
-        let window = (border..border + h)
-            .flat_map(|gy| (border..border + w).map(move |gx| (gy * cols + gx) * batch));
-        transpose_rows(src_plane, channels * plane, batch, plane, dst_plane, window);
     }
 }
 
@@ -541,75 +580,78 @@ impl Conv2d {
         }
     }
 
-    /// This layer's geometry over a `[batch, channels, height, width]`
-    /// input.
+    /// This layer's geometry over a batch-lane `[channels, height, width,
+    /// batch]` input.
     ///
     /// # Panics
     ///
     /// Panics if the input is not rank 4 or its channels do not match.
-    fn lanes(&self, shape: &[usize]) -> Lanes {
-        assert_eq!(shape.len(), 4, "Conv2d expects [batch, c, h, w] input");
-        assert_eq!(shape[1], self.in_channels, "Conv2d input channel mismatch");
+    fn lanes(&self, dims: &[usize]) -> Lanes {
+        assert_eq!(dims.len(), 4, "Conv2d expects [c, h, w, batch] batch-lane input");
+        assert_eq!(dims[0], self.in_channels, "Conv2d input channel mismatch");
         Lanes {
-            batch: shape[0],
+            batch: dims[3],
             out_c: self.out_channels,
-            shape: self.im2col_shape(shape[2], shape[3]),
+            shape: self.im2col_shape(dims[1], dims[2]),
         }
     }
 
-    /// The body of [`Layer::backward`]: accumulates dW and the bias
-    /// gradient, and writes dX into `grad_input` (a tensor of the input's
-    /// shape, every element overwritten) when one is given.
-    fn accumulate_gradients(&mut self, grad_output: &Tensor, grad_input: Option<&mut Tensor>) {
+    /// [`Conv2d::lanes`] over a batch-outer `[batch, channels, height,
+    /// width]` input.
+    fn batch_outer_lanes(&self, shape: &[usize]) -> Lanes {
+        assert_eq!(shape.len(), 4, "Conv2d expects [batch, c, h, w] input");
+        self.lanes(&[shape[1], shape[2], shape[3], shape[0]])
+    }
+
+    /// Caches a batch-lane input's bordered copy for backward.
+    fn cache_input(&mut self, input: &Tensor) -> Lanes {
+        let lanes = self.lanes(input.shape());
+        let cached = self.cached_input.get_or_insert_with(LaneInput::default);
+        lanes.fill_input(input.data(), &mut cached.xb);
+        cached.dims = lanes.in_dims();
+        lanes
+    }
+
+    /// The body of [`Layer::backward_lanes`]: accumulates dW and the bias
+    /// gradient from the batch-lane `grad_output`, and returns dX in the
+    /// batch-lane layout — in `grad_output`'s buffer — when asked for.
+    fn accumulate_gradients(&mut self, grad_output: Tensor, input_gradient: bool) -> Option<Tensor> {
         let cached = self
             .cached_input
             .as_ref()
             .expect("backward called before forward on Conv2d");
-        let lanes = self.lanes(&cached.shape);
+        let lanes = self.lanes(&cached.dims);
         assert_eq!(
             grad_output.shape(),
             &lanes.out_dims(),
             "Conv2d gradient shape mismatch"
         );
-        let go = grad_output.data();
         PASS_SCRATCH.with_borrow_mut(|pass| {
-            lanes.weight_gradient(&cached.xb, go, pass, self.grad_weight.data_mut());
-            if let Some(grad_input) = grad_input {
-                let (weight, tables) = (self.weight.data(), &mut self.scratch);
-                lanes.input_gradient(weight, go, tables, pass, grad_input.data_mut());
+            let (grad_weight, grad_bias) = (self.grad_weight.data_mut(), self.grad_bias.data_mut());
+            lanes.weight_gradient(&cached.xb, grad_output.data(), pass, grad_weight, grad_bias);
+            if !input_gradient {
+                return None;
             }
-        });
-
-        let plane = lanes.out_plane();
-        let grad_bias = self.grad_bias.data_mut();
-        for go_n in go.chunks_exact(lanes.out_c * plane) {
-            for (gb, go_oc) in grad_bias.iter_mut().zip(go_n.chunks_exact(plane)) {
-                for &go in go_oc {
-                    *gb += go;
-                }
-            }
-        }
+            lanes.fill_output_gradient(grad_output.data(), &mut pass.go);
+            let mut grad_input = grad_output;
+            grad_input.reset(&cached.dims);
+            lanes.input_gradient(self.weight.data(), &mut self.scratch, pass, grad_input.data_mut());
+            Some(grad_input)
+        })
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let lanes = self.lanes(input.shape());
-        let mut cached = self.cached_input.take().unwrap_or_default();
-        lanes.fill_input(input.data(), &mut cached.xb);
-        cached.shape.copy_from_slice(input.shape());
-        let mut out = Tensor::zeros(&lanes.out_dims());
-        PASS_SCRATCH.with_borrow_mut(|pass| {
-            if lanes.batch >= BATCH_LANES_MIN {
-                let (weight, bias) = (self.weight.data(), self.bias.data());
-                lanes.forward(weight, bias, &cached.xb, pass, out.data_mut());
-            } else {
-                // Same bits, faster at small batches; backward still reads
-                // the batch-lane copy.
-                self.infer_with(input, &mut out, &mut pass.gemm);
-            }
-        });
-        self.cached_input = Some(cached);
+        let lanes = self.batch_outer_lanes(input.shape());
+        if lanes.batch >= BATCH_LANES_MIN {
+            return from_batch_lanes(&self.forward_lanes(to_batch_lanes(input)));
+        }
+        // Same bits, faster at small batches; backward still reads the
+        // bordered batch-lane copy.
+        let mut out = Tensor::default();
+        PASS_SCRATCH.with_borrow_mut(|pass| self.infer_with(input, &mut out, &mut pass.gemm));
+        self.cache_input(&to_batch_lanes(input));
         out
     }
 
@@ -618,19 +660,17 @@ impl Layer for Conv2d {
     }
 
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
-        let lanes = self.lanes(input.shape());
-        out.reset(&lanes.out_dims());
-        let w_data = self.weight.data();
-        let bias = self.bias.data();
+        let lanes = self.batch_outer_lanes(input.shape());
         if gemm.precision() == Precision::Reference && lanes.batch >= BATCH_LANES_MIN {
-            PASS_SCRATCH.with_borrow_mut(|pass| {
-                let mut xb = std::mem::take(&mut pass.xb);
-                lanes.fill_input(input.data(), &mut xb);
-                lanes.forward(w_data, bias, &xb, pass, out.data_mut());
-                pass.xb = xb;
-            });
+            let mut lane_out = Tensor::default();
+            self.infer_lanes(&to_batch_lanes(input), &mut lane_out);
+            from_batch_lanes_into(&lane_out, out);
             return;
         }
+        let [out_c, out_h, out_w, batch] = lanes.out_dims();
+        out.reset(&[batch, out_c, out_h, out_w]);
+        let w_data = self.weight.data();
+        let bias = self.bias.data();
 
         // Per sample, im2col + GEMM: out[n][oc][p] = bias[oc] +
         // w_row(oc)·col_row(p).  Patch columns follow the (ic, kh, kw) tap
@@ -647,7 +687,7 @@ impl Layer for Conv2d {
         let in_plane = shape.channels * shape.height * shape.width;
         let in_data = input.data();
         let out_data = out.data_mut();
-        for n in 0..lanes.batch {
+        for n in 0..batch {
             let plane = &in_data[n * in_plane..(n + 1) * in_plane];
             let out_block =
                 &mut out_data[n * self.out_channels * rows..(n + 1) * self.out_channels * rows];
@@ -674,7 +714,8 @@ impl Layer for Conv2d {
     }
 
     /// Reference GEMMs over the whole batch, in the direct convolution's
-    /// order.
+    /// order (this converts at the layer's edges around
+    /// [`Layer::backward_lanes`], which runs them).
     ///
     /// The direct kernel loops `(n, oc, oy, ox)`, skips `go == 0`, and
     /// for every in-bounds tap adds `go·x` to `dW[oc][tap]` and `go·w` to
@@ -683,18 +724,19 @@ impl Layer for Conv2d {
     /// * **dW** — `dWᵀ[tap][oc] += Σ_(n,q) x·go` over `k = (n, q)`
     ///   ascending, one [`BiasMode::Accumulate`] GEMM per batch with lanes
     ///   across `oc`; the `x` operand is read in place from forward's
-    ///   batch-lane copy of the input, which replays each weight's
-    ///   `(n, oy, ox)` term sequence.
-    /// * **dX** — per input pixel, `dX[ic][n] = Σₖ Wf[ic][k]·go[…][n]`
-    ///   with lanes across the batch and `k = (oc, kh, kw)` over `kh`,
-    ///   `kw` *descending*; `Wf` is the flipped weight and the `go` rows
-    ///   come from a zero-bordered batch-lane copy of the output gradient
-    ///   through a per-shape offset table (the border where a tap falls
-    ///   past the output).  For a fixed input pixel, ascending `(oy, ox)`
-    ///   is descending `(kh, kw)`, so ascending `k` is exactly the direct
-    ///   kernel's `(oc, oy, ox)` order: no term is reassociated.  Pixels
-    ///   are grouped by stride phase, over only the taps that can reach
-    ///   an output from that phase (the rest only ever meet stride gaps).
+    ///   bordered batch-lane copy of the input, which replays each
+    ///   weight's `(n, oy, ox)` term sequence.
+    /// * **dX** — per run of input pixels, `dX[ic][n] = Σₖ
+    ///   Wf[ic][k]·go[…][n]` with lanes across the batch and `k = (oc, kh,
+    ///   kw)` over `kh`, `kw` *descending*; `Wf` is the flipped weight and
+    ///   the `go` rows come from a zero-bordered batch-lane copy of the
+    ///   output gradient through a per-shape offset table (the border
+    ///   where a tap falls past the output).  For a fixed input pixel,
+    ///   ascending `(oy, ox)` is descending `(kh, kw)`, so ascending `k` is
+    ///   exactly the direct kernel's `(oc, oy, ox)` order: no term is
+    ///   reassociated.  Pixels are grouped by stride phase, over only the
+    ///   taps that can reach an output from that phase (the rest only ever
+    ///   meet stride gaps).
     /// * **bias** — a per-channel sum in the same `(n, p)` order.
     ///
     /// The extra terms (the `go == 0` entries, padding taps, border
@@ -705,19 +747,43 @@ impl Layer for Conv2d {
     /// not `−0.0` leaves its bits unchanged — so including those terms
     /// cannot change a bit.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::zeros(
-            &self
-                .cached_input
-                .as_ref()
-                .expect("backward called before forward on Conv2d")
-                .shape,
-        );
-        self.accumulate_gradients(grad_output, Some(&mut grad_input));
-        grad_input
+        from_batch_lanes(&self.backward_lanes(to_batch_lanes(grad_output)))
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) {
-        self.accumulate_gradients(grad_output, None);
+        self.backward_params_lanes(to_batch_lanes(grad_output));
+    }
+
+    /// The output is computed in `input`'s buffer, after its bordered
+    /// copy is cached.
+    fn forward_lanes(&mut self, input: Tensor) -> Tensor {
+        let lanes = self.cache_input(&input);
+        let mut out = input;
+        out.reset(&lanes.out_dims());
+        let xb = &self.cached_input.as_ref().expect("input cached above").xb;
+        let (weight, bias) = (self.weight.data(), self.bias.data());
+        PASS_SCRATCH
+            .with_borrow_mut(|pass| lanes.forward(weight, bias, xb, &mut pass.offsets, out.data_mut()));
+        out
+    }
+
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
+        let lanes = self.lanes(input.shape());
+        out.reset(&lanes.out_dims());
+        PASS_SCRATCH.with_borrow_mut(|pass| {
+            let PassScratch { xb, offsets, .. } = pass;
+            lanes.fill_input(input.data(), xb);
+            lanes.forward(self.weight.data(), self.bias.data(), xb, offsets, out.data_mut());
+        });
+    }
+
+    fn backward_lanes(&mut self, grad_output: Tensor) -> Tensor {
+        self.accumulate_gradients(grad_output, true)
+            .expect("the input gradient was asked for")
+    }
+
+    fn backward_params_lanes(&mut self, grad_output: Tensor) {
+        self.accumulate_gradients(grad_output, false);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -734,6 +800,10 @@ impl Layer for Conv2d {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_weight, &mut self.grad_bias]
+    }
+
+    fn params_and_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![(&mut self.weight, &self.grad_weight), (&mut self.bias, &self.grad_bias)]
     }
 
     fn zero_grad(&mut self) {

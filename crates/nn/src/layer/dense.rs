@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use super::Layer;
+use super::{from_batch_lanes, to_batch_lanes, Layer};
 use crate::gemm::{gemm_kn, gemm_nt_with, transpose, BiasMode, GemmScratch, Precision, StridedA};
 use crate::init;
 use crate::tensor::Tensor;
@@ -10,6 +10,10 @@ use crate::tensor::Tensor;
 /// * weights have shape `[out_features, in_features]`,
 /// * bias has shape `[out_features]`,
 /// * inputs have shape `[batch, in_features]` and outputs `[batch, out_features]`.
+///
+/// Its one training implementation runs in the batch-lane layout
+/// (`xᵀ` in, `yᵀ` out, see the [`super`] module docs); the batch-outer
+/// passes convert at the layer's edges.
 ///
 /// # Examples
 ///
@@ -33,6 +37,8 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
+    /// The last training forward's input, batch-outer `[batch, in]` — the
+    /// `k`-major operand of dW.
     cached_input: Option<Tensor>,
     in_features: usize,
     out_features: usize,
@@ -134,45 +140,48 @@ impl Dense {
         &self.bias
     }
 
-    /// The parameter half of [`Layer::backward`]: `grad_w += dyᵀ · x` and
-    /// `grad_b +=` the column sums of `dy`.
+    /// `yᵀ = W · xᵀ` over the batch-lane `xt` (`[in][batch]`) into `yt`
+    /// (`[out][batch]`), with SIMD lanes across the batch: W is already
+    /// the row-major A, `xᵀ` the k-major B.  Each element accumulates
+    /// k-ascending from +0.0 and the callers add the bias last, so the
+    /// bits match `Tensor::matmul` followed by the bias add (exact-zero
+    /// activations that matmul skips contribute ±0.0, which cannot change
+    /// a +0.0-initialized accumulator).
+    fn forward_product(&self, xt: &[f32], batch: usize, yt: &mut [f32]) {
+        let weights = StridedA::row_major(self.weight.data(), self.in_features);
+        gemm_kn(self.out_features, batch, self.in_features, weights, xt, BiasMode::None, yt);
+    }
+
+    /// The parameter half of [`Layer::backward_lanes`]: `grad_w += dyᵀ · x`
+    /// and `grad_b +=` the batch sums of the batch-lane `dyt`
+    /// (`[out][batch]`).
     ///
     /// `dyᵀ · x` is summed from `+0.0` over the batch in ascending order
     /// and then added to `grad_w` — the association of `Tensor::matmul`
-    /// followed by `add_scaled(…, 1.0)`.  `dyᵀ` is read in place through
-    /// [`StridedA::transposed`]; the `dy == 0` terms `matmul` skips are
-    /// `±0.0` products that cannot change a sum started at `+0.0`.
-    fn accumulate_gradients(&mut self, grad_output: &Tensor) {
+    /// followed by `add_scaled(…, 1.0)`; the `dy == 0` terms `matmul`
+    /// skips are `±0.0` products that cannot change a sum started at
+    /// `+0.0`.
+    fn accumulate_gradients(&mut self, dyt: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward on Dense");
-        assert_eq!(grad_output.rank(), 2, "Dense gradient must be rank 2");
-        assert_eq!(grad_output.shape()[0], input.shape()[0]);
-        assert_eq!(grad_output.shape()[1], self.out_features);
         let (batch, out_f, in_f) = (input.shape()[0], self.out_features, self.in_features);
+        assert_eq!(dyt.shape(), &[out_f, batch], "Dense gradient shape mismatch");
 
         // grad_w += dyᵀ · x   ([out, batch] x [batch, in] -> [out, in])
         let step = &mut self.scratch.weight_step;
         step.resize(out_f * in_f, 0.0);
-        gemm_kn(
-            out_f,
-            in_f,
-            batch,
-            StridedA::transposed(grad_output.data(), out_f),
-            input.data(),
-            BiasMode::None,
-            step,
-        );
+        let dy_t = StridedA::row_major(dyt.data(), batch);
+        gemm_kn(out_f, in_f, batch, dy_t, input.data(), BiasMode::None, step);
         for (g, &d) in self.grad_weight.data_mut().iter_mut().zip(step.iter()) {
             *g += d;
         }
 
-        // grad_b += column sums of dy
-        let batch = grad_output.shape()[0];
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                self.grad_bias.data_mut()[o] += grad_output.at2(n, o);
+        // grad_b += batch sums of dy
+        for (gb, dy_row) in self.grad_bias.data_mut().iter_mut().zip(dyt.data().chunks_exact(batch)) {
+            for &d in dy_row {
+                *gb += d;
             }
         }
     }
@@ -204,19 +213,13 @@ impl Layer for Dense {
         );
         let (batch, in_f, out_f) = (input.shape()[0], self.in_features, self.out_features);
         out.reset(&[batch, out_f]);
-        // y = x · Wᵀ + b.  At the default Reference tier each element
-        // accumulates k-ascending from +0.0 with the bias added last, so
-        // the bits match `Tensor::matmul` followed by the bias add
-        // (exact-zero activations that matmul skips contribute ±0.0, which
-        // cannot change a +0.0-initialized accumulator); the Fast tier
-        // follows the scratch's precision setting instead.
+        // At the default Reference tier the batch-lane product between
+        // the scratch's transposes, the bias added as `y` is read back;
+        // the Fast tier follows the scratch's precision setting instead.
         if gemm.precision() == Precision::Reference && batch >= LANES_OVER_BATCH_MIN {
-            // yᵀ = W · xᵀ with SIMD lanes across the batch: W is already
-            // the row-major A, xᵀ the k-major B.
             let (xt, yt) = gemm.transpose_buffers(in_f * batch, out_f * batch);
             transpose(input.data(), batch, in_f, xt);
-            let weights = StridedA::row_major(self.weight.data(), in_f);
-            gemm_kn(out_f, batch, in_f, weights, xt, BiasMode::None, yt);
+            self.forward_product(xt, batch, yt);
             for (n, y_row) in out.data_mut().chunks_exact_mut(out_f).enumerate() {
                 for ((y, yt_row), &b) in y_row.iter_mut().zip(yt.chunks_exact(batch)).zip(self.bias.data()) {
                     *y = yt_row[n] + b;
@@ -241,25 +244,59 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.accumulate_gradients(grad_output);
-        // dx = dy · W   ([batch, out] x [out, in] -> [batch, in]); W is
-        // stored [out][in], already the k-major operand.
-        let batch = grad_output.shape()[0];
-        let mut grad_input = Tensor::zeros(&[batch, self.in_features]);
+        from_batch_lanes(&self.backward_lanes(to_batch_lanes(grad_output)))
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward_params_lanes(to_batch_lanes(grad_output));
+    }
+
+    fn forward_lanes(&mut self, input: Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer_lanes(&input, &mut out);
+        let batch = input.shape()[1];
+        let cached = self.cached_input.get_or_insert_with(Tensor::default);
+        cached.reset(&[batch, self.in_features]);
+        transpose(input.data(), self.in_features, batch, cached.data_mut());
+        out
+    }
+
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
+        assert!(
+            input.rank() == 2 && input.shape()[0] == self.in_features,
+            "Dense expects [features, batch] batch-lane input"
+        );
+        let batch = input.shape()[1];
+        out.reset(&[self.out_features, batch]);
+        self.forward_product(input.data(), batch, out.data_mut());
+        for (y_row, &b) in out.data_mut().chunks_exact_mut(batch).zip(self.bias.data()) {
+            for y in y_row {
+                *y += b;
+            }
+        }
+    }
+
+    /// `dxᵀ = Wᵀ · dyᵀ` (`[in, out] x [out, batch]`), lanes across the
+    /// batch: each element sums over `out` ascending from +0.0, as
+    /// `dy · W` through `Tensor::matmul` does.
+    fn backward_lanes(&mut self, grad_output: Tensor) -> Tensor {
+        self.accumulate_gradients(&grad_output);
+        let batch = grad_output.shape()[1];
+        let mut grad_input = Tensor::zeros(&[self.in_features, batch]);
         gemm_kn(
-            batch,
             self.in_features,
+            batch,
             self.out_features,
-            StridedA::row_major(grad_output.data(), self.out_features),
-            self.weight.data(),
+            StridedA::transposed(self.weight.data(), self.in_features),
+            grad_output.data(),
             BiasMode::None,
             grad_input.data_mut(),
         );
         grad_input
     }
 
-    fn backward_params(&mut self, grad_output: &Tensor) {
-        self.accumulate_gradients(grad_output);
+    fn backward_params_lanes(&mut self, grad_output: Tensor) {
+        self.accumulate_gradients(&grad_output);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -276,6 +313,10 @@ impl Layer for Dense {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_weight, &mut self.grad_bias]
+    }
+
+    fn params_and_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![(&mut self.weight, &self.grad_weight), (&mut self.bias, &self.grad_bias)]
     }
 
     fn zero_grad(&mut self) {

@@ -6,6 +6,15 @@
 //! until [`Layer::zero_grad`] is called, which is what lets the BERRY
 //! trainer *average* the clean-pass and perturbed-pass gradients (Algorithm 1
 //! line 19) simply by running two backward passes before one optimizer step.
+//!
+//! Every pass exists in two layouts.  The batch-outer one (`forward`,
+//! `infer_with`, `backward`) takes `[batch, …]` tensors.  The batch-lane
+//! one (`forward_lanes`, `infer_lanes`, `backward_lanes`) takes the same
+//! tensors with the batch axis moved last, `[…, batch]`, which is the
+//! layout the Reference tier's lanes kernel reads and writes.  A
+//! [`crate::network::Sequential`] pass at [`BATCH_LANES_MIN`] samples or
+//! more converts its input once ([`to_batch_lanes`]) and keeps every
+//! activation and output gradient batch-innermost from layer to layer.
 
 mod conv;
 mod dense;
@@ -13,13 +22,68 @@ mod dense;
 pub use conv::Conv2d;
 pub use dense::Dense;
 
-use crate::gemm::GemmScratch;
+use crate::gemm::{transpose, GemmScratch};
 use crate::tensor::Tensor;
+
+/// Smallest batch a [`crate::network::Sequential`] pass runs in the
+/// batch-lane layout at the Reference tier (training, and Reference
+/// inference).  Below it the per-sample paths are as fast or faster — at
+/// batch 8 the batch lanes only tie on the policies' deeper convolutions
+/// and lose on the first, and at batch 1 they fill one lane in eight —
+/// and both produce the same bits, so this moves speed only.
+pub(crate) const BATCH_LANES_MIN: usize = 16;
+
+/// The batch-lane copy of a batch-outer tensor: `[n, d…]` becomes
+/// `[d…, n]`, element `(i, f)` moving to `(f, i)`.
+///
+/// # Panics
+///
+/// Panics if the tensor has rank 0.
+pub fn to_batch_lanes(batch_outer: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    to_batch_lanes_into(batch_outer, &mut out);
+    out
+}
+
+/// The batch-outer copy of a batch-lane tensor: the inverse of
+/// [`to_batch_lanes`], `[d…, n]` becoming `[n, d…]`.
+///
+/// # Panics
+///
+/// Panics if the tensor has rank 0.
+pub fn from_batch_lanes(lanes: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    from_batch_lanes_into(lanes, &mut out);
+    out
+}
+
+/// [`to_batch_lanes`] into a reused tensor.
+pub(crate) fn to_batch_lanes_into(src: &Tensor, dst: &mut Tensor) {
+    let (&batch, rest) = src.shape().split_first().expect("a batch axis");
+    let mut shape = rest.to_vec();
+    shape.push(batch);
+    dst.reset(&shape);
+    let features = rest.iter().product();
+    transpose(src.data(), batch, features, dst.data_mut());
+}
+
+/// [`from_batch_lanes`] into a reused tensor.
+pub(crate) fn from_batch_lanes_into(src: &Tensor, dst: &mut Tensor) {
+    let (&batch, rest) = src.shape().split_last().expect("a batch axis");
+    let mut shape = vec![batch];
+    shape.extend_from_slice(rest);
+    dst.reset(&shape);
+    let features = rest.iter().product();
+    transpose(src.data(), features, batch, dst.data_mut());
+}
 
 /// A differentiable network layer.
 ///
 /// Layers operate on *batched* inputs: dense layers expect `[batch, features]`
-/// tensors and convolutions expect `[batch, channels, height, width]`.
+/// tensors and convolutions expect `[batch, channels, height, width]` —
+/// or, in the `_lanes` passes, the same tensors batch-innermost (see the
+/// module docs).  A backward pass runs in the layout of the forward it
+/// follows.
 ///
 /// `Send + Sync` is part of the contract so whole networks can be shared
 /// by reference across the data-parallel fault-map evaluation workers;
@@ -30,9 +94,9 @@ pub trait Layer: Send + Sync {
     ///
     /// Layers with a matrix-product forward (dense, convolution) compute
     /// it on the Reference GEMM tier's kernels, as [`Layer::infer_with`]
-    /// does — dense through `infer_with` itself, the convolution through
-    /// its lanes-across-the-batch path, which `infer_with` shares at large
-    /// batches — so training and inference share their bits.
+    /// does — at large batches both convert at their edges around the
+    /// layer's batch-lane routine ([`Layer::forward_lanes`]) — so training
+    /// and inference share their bits.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Runs an immutable, cache-free forward pass, writing the layer output
@@ -88,6 +152,34 @@ pub trait Layer: Send + Sync {
         drop(self.backward(grad_output));
     }
 
+    /// [`Layer::forward`] in the batch-lane layout: `input` and the
+    /// returned output are batch-innermost (`[c, h, w, n]`,
+    /// `[features, n]`), with the bits of `forward` on the batch-outer
+    /// tensors.  The layer may reuse `input`'s buffer for its output.
+    fn forward_lanes(&mut self, input: Tensor) -> Tensor;
+
+    /// [`Layer::infer`] in the batch-lane layout, at the Reference tier.
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor);
+
+    /// [`Layer::backward`] in the batch-lane layout, after a
+    /// [`Layer::forward_lanes`]: takes the output gradient and returns the
+    /// input gradient batch-innermost.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before any forward pass.
+    fn backward_lanes(&mut self, grad_output: Tensor) -> Tensor;
+
+    /// [`Layer::backward_lanes`] without the input gradient, as
+    /// [`Layer::backward_params`] is to [`Layer::backward`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before any forward pass.
+    fn backward_params_lanes(&mut self, grad_output: Tensor) {
+        drop(self.backward_lanes(grad_output));
+    }
+
     /// Borrowed views of the layer's trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 
@@ -101,6 +193,24 @@ pub trait Layer: Send + Sync {
     /// Mutable views of the accumulated parameter gradients, in the same
     /// order as [`Layer::params`] (empty for parameter-free layers).
     fn grads_mut(&mut self) -> Vec<&mut Tensor>;
+
+    /// Each trainable parameter with its accumulated gradient, in the
+    /// order of [`Layer::params`] — what an optimizer step reads and
+    /// writes in one pass.
+    ///
+    /// The default serves parameter-free layers.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if the layer has parameters.
+    fn params_and_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        assert!(
+            self.params().is_empty(),
+            "{} has parameters and must implement params_and_grads_mut",
+            self.name()
+        );
+        Vec::new()
+    }
 
     /// Resets all accumulated gradients to zero.
     fn zero_grad(&mut self);
@@ -153,16 +263,7 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        // One pass: the output and the reused mask buffer together, with
-        // the `v * mask` arithmetic `infer` shares.
-        let mask = self.mask.get_or_insert_with(Tensor::default);
-        mask.reset(input.shape());
-        let mut out = Tensor::zeros(input.shape());
-        for ((o, m), &v) in out.data_mut().iter_mut().zip(mask.data_mut()).zip(input.data()) {
-            *m = if v > 0.0 { 1.0 } else { 0.0 };
-            *o = v * *m;
-        }
-        out
+        self.forward_lanes(input.clone())
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor) {
@@ -175,13 +276,36 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_lanes(grad_output.clone())
+    }
+
+    /// Element-wise, so one pass in place serves either layout: the
+    /// output and the reused mask buffer together, with the `v * mask`
+    /// arithmetic `infer` shares.
+    fn forward_lanes(&mut self, mut input: Tensor) -> Tensor {
+        let mask = self.mask.get_or_insert_with(Tensor::default);
+        mask.reset(input.shape());
+        for (v, m) in input.data_mut().iter_mut().zip(mask.data_mut()) {
+            *m = if *v > 0.0 { 1.0 } else { 0.0 };
+            *v *= *m;
+        }
+        input
+    }
+
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
+        self.infer(input, out);
+    }
+
+    fn backward_lanes(&mut self, mut grad_output: Tensor) -> Tensor {
         let mask = self
             .mask
             .as_ref()
             .expect("backward called before forward on Relu");
+        assert_eq!(grad_output.shape(), mask.shape(), "gradient must share the forward shape");
+        for (g, &m) in grad_output.data_mut().iter_mut().zip(mask.data()) {
+            *g *= m;
+        }
         grad_output
-            .mul(mask)
-            .expect("gradient must share the forward shape")
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -263,6 +387,18 @@ impl Layer for LeakyRelu {
             .expect("gradient must share the forward shape")
     }
 
+    fn forward_lanes(&mut self, input: Tensor) -> Tensor {
+        self.forward(&input)
+    }
+
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
+        self.infer(input, out);
+    }
+
+    fn backward_lanes(&mut self, grad_output: Tensor) -> Tensor {
+        self.backward(&grad_output)
+    }
+
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
     }
@@ -326,6 +462,18 @@ impl Layer for Tanh {
         grad_output
             .mul(&deriv)
             .expect("gradient must share the forward shape")
+    }
+
+    fn forward_lanes(&mut self, input: Tensor) -> Tensor {
+        self.forward(&input)
+    }
+
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
+        self.infer(input, out);
+    }
+
+    fn backward_lanes(&mut self, grad_output: Tensor) -> Tensor {
+        self.backward(&grad_output)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -403,6 +551,39 @@ impl Layer for Flatten {
             .expect("backward called before forward on Flatten");
         grad_output
             .reshape(shape)
+            .expect("flatten gradient preserves element count")
+    }
+
+    /// A reshape: `[c, h, w, n]` becomes `[c·h·w, n]`, the batch-lane
+    /// layout of the batch-outer `[n, c·h·w]`.
+    fn forward_lanes(&mut self, input: Tensor) -> Tensor {
+        let shape = input.shape().to_vec();
+        let (&batch, rest) = shape
+            .split_last()
+            .expect("Flatten requires an input with at least one dimension");
+        let features: usize = rest.iter().product();
+        self.input_shape = Some(shape);
+        input
+            .into_reshaped(&[features, batch])
+            .expect("flatten preserves element count")
+    }
+
+    fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
+        let (&batch, rest) = input
+            .shape()
+            .split_last()
+            .expect("Flatten requires an input with at least one dimension");
+        out.reset(&[rest.iter().product(), batch]);
+        out.data_mut().copy_from_slice(input.data());
+    }
+
+    fn backward_lanes(&mut self, grad_output: Tensor) -> Tensor {
+        let shape = self
+            .input_shape
+            .as_ref()
+            .expect("backward called before forward on Flatten");
+        grad_output
+            .into_reshaped(shape)
             .expect("flatten gradient preserves element count")
     }
 

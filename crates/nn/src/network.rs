@@ -1,8 +1,10 @@
 //! Sequential composition of layers into a trainable network.
 
 use crate::error::NnError;
-use crate::gemm::GemmScratch;
-use crate::layer::Layer;
+use crate::gemm::{GemmScratch, Precision};
+use crate::layer::{
+    from_batch_lanes, from_batch_lanes_into, to_batch_lanes, to_batch_lanes_into, Layer, BATCH_LANES_MIN,
+};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -61,6 +63,14 @@ impl InferScratch {
 /// layer (parameters and gradients), which is exactly what target-network
 /// synchronization and perturbation snapshots need.
 ///
+/// A pass over [`BATCH_LANES_MIN`] (16) samples or more — every training
+/// batch, and Reference-tier inference at such batches — runs in the
+/// batch-lane layout (see the [`crate::layer`] module docs): the network
+/// transposes its input once, every layer runs its `_lanes` routine, and
+/// only the output (and, in `backward`, the input gradient) is transposed
+/// back.  Smaller batches run layer by layer batch-outer.  Both produce
+/// the same bits.
+///
 /// # Examples
 ///
 /// ```
@@ -78,12 +88,20 @@ impl InferScratch {
 #[derive(Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Whether the last `forward` ran in the batch-lane layout, which the
+    /// backward pass then runs in too.
+    lanes_cached: bool,
 }
 
 impl Sequential {
     /// Creates an empty network.
     pub fn new() -> Self {
-        Self { layers: Vec::new() }
+        Self::default()
+    }
+
+    /// Whether a pass over `input` runs in the batch-lane layout.
+    fn takes_lanes(&self, input: &Tensor) -> bool {
+        !self.layers.is_empty() && input.rank() >= 2 && input.shape()[0] >= BATCH_LANES_MIN
     }
 
     /// Appends a layer to the end of the network.
@@ -109,6 +127,14 @@ impl Sequential {
     /// Runs a forward pass through every layer, caching activations for a
     /// subsequent [`Sequential::backward`] call.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.lanes_cached = self.takes_lanes(input);
+        if self.lanes_cached {
+            let mut x = to_batch_lanes(input);
+            for layer in &mut self.layers {
+                x = layer.forward_lanes(x);
+            }
+            return from_batch_lanes(&x);
+        }
         let mut x = input.clone();
         for layer in &mut self.layers {
             x = layer.forward(&x);
@@ -196,8 +222,10 @@ impl Sequential {
     }
 
     /// Shared ping-pong driver: runs the layer stack through the shared
-    /// im2col/GEMM inference core, returning `true` when the final
-    /// activations ended up in `ping` and `false` for `pong`.
+    /// im2col/GEMM inference core — in the batch-lane layout at the
+    /// Reference tier and [`BATCH_LANES_MIN`] samples or more — returning
+    /// `true` when the final activations ended up in `ping` and `false`
+    /// for `pong`.
     fn infer_ping_pong(
         &self,
         input: &Tensor,
@@ -208,6 +236,26 @@ impl Sequential {
         if self.layers.is_empty() {
             ping.copy_from(input);
             return true;
+        }
+        if gemm.precision() == Precision::Reference && self.takes_lanes(input) {
+            // Batch-innermost from the input's copy in `ping` on; the
+            // output is transposed back into the other buffer.
+            to_batch_lanes_into(input, ping);
+            let mut in_ping = true;
+            for layer in &self.layers {
+                if in_ping {
+                    layer.infer_lanes(ping, pong);
+                } else {
+                    layer.infer_lanes(pong, ping);
+                }
+                in_ping = !in_ping;
+            }
+            if in_ping {
+                from_batch_lanes_into(ping, pong);
+            } else {
+                from_batch_lanes_into(pong, ping);
+            }
+            return !in_ping;
         }
         let mut in_ping = false;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -232,6 +280,13 @@ impl Sequential {
     ///
     /// Panics if called before [`Sequential::forward`].
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        if self.lanes_cached {
+            let mut g = to_batch_lanes(grad_output);
+            for layer in self.layers.iter_mut().rev() {
+                g = layer.backward_lanes(g);
+            }
+            return from_batch_lanes(&g);
+        }
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {
             g = layer.backward(&g);
@@ -251,6 +306,14 @@ impl Sequential {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return;
         };
+        if self.lanes_cached {
+            let mut g = to_batch_lanes(grad_output);
+            for layer in rest.iter_mut().rev() {
+                g = layer.backward_lanes(g);
+            }
+            first.backward_params_lanes(g);
+            return;
+        }
         let mut g: Option<Tensor> = None;
         for layer in rest.iter_mut().rev() {
             g = Some(layer.backward(g.as_ref().unwrap_or(grad_output)));
@@ -290,6 +353,13 @@ impl Sequential {
         self.layers.iter_mut().flat_map(|l| l.grads_mut()).collect()
     }
 
+    /// Every trainable parameter with its accumulated gradient, in the
+    /// order of [`Sequential::params`]: what an optimizer step reads and
+    /// writes in one pass per tensor.
+    pub(crate) fn params_and_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        self.layers.iter_mut().flat_map(|l| l.params_and_grads_mut()).collect()
+    }
+
     /// Accumulates `scale ×` the gradients of `source` into this network's
     /// gradients.
     ///
@@ -304,7 +374,7 @@ impl Sequential {
     /// Returns an error if the two networks do not share an identical
     /// parameter structure.
     pub fn add_gradients_from(&mut self, source: &Sequential, scale: f32) -> Result<()> {
-        let src: Vec<Tensor> = source.grads().into_iter().cloned().collect();
+        let src = source.grads();
         let dst = self.grads_mut();
         if src.len() != dst.len() {
             return Err(NnError::InvalidArgument(format!(
@@ -313,7 +383,7 @@ impl Sequential {
                 src.len()
             )));
         }
-        for (d, s) in dst.into_iter().zip(src.iter()) {
+        for (d, s) in dst.into_iter().zip(src) {
             d.add_scaled(s, scale)?;
         }
         Ok(())
@@ -341,7 +411,7 @@ impl Sequential {
     /// Returns [`NnError::ShapeMismatch`] if the two networks do not have an
     /// identical parameter structure.
     pub fn copy_params_from(&mut self, source: &Sequential) -> Result<()> {
-        let src: Vec<Tensor> = source.params().into_iter().cloned().collect();
+        let src = source.params();
         let dst = self.params_mut();
         if src.len() != dst.len() {
             return Err(NnError::InvalidArgument(format!(
@@ -350,7 +420,7 @@ impl Sequential {
                 src.len()
             )));
         }
-        for (d, s) in dst.into_iter().zip(src.iter()) {
+        for (d, s) in dst.into_iter().zip(src) {
             if d.shape() != s.shape() {
                 return Err(NnError::ShapeMismatch {
                     left: d.shape().to_vec(),
@@ -614,6 +684,113 @@ mod tests {
             for (a, b) in full.grads().iter().zip(params_only.grads()) {
                 let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(a), bits(b));
+            }
+        }
+    }
+
+    /// The policy architectures over a `[2, 9, 9]` observation with five
+    /// actions: C3F2, C5F4 and a flattening MLP.
+    fn policy_shaped_nets(r: &mut rand::rngs::StdRng) -> Vec<(&'static str, Sequential)> {
+        let convs = |r: &mut rand::rngs::StdRng, widths: &[usize], fc: &[usize]| {
+            let mut net = Sequential::new();
+            let mut prev = 2;
+            for (i, &width) in widths.iter().enumerate() {
+                net.push(Conv2d::new(prev, width, 3, if i == 1 { 2 } else { 1 }, 1, r));
+                net.push(Relu::new());
+                prev = width;
+            }
+            net.push(Flatten::new());
+            let mut prev = prev * 5 * 5;
+            for &width in fc {
+                net.push(Dense::new(prev, width, r));
+                net.push(Relu::new());
+                prev = width;
+            }
+            net.push(Dense::new_xavier(prev, 5, r));
+            net
+        };
+        vec![
+            ("C3F2", convs(r, &[8, 16, 16], &[64])),
+            ("C5F4", convs(r, &[8, 16, 16, 24, 24], &[96, 64, 32])),
+            ("MLP", {
+                let mut net = Sequential::new();
+                net.push(Flatten::new());
+                net.push(Dense::new(2 * 9 * 9, 32, r));
+                net.push(Relu::new());
+                net.push(Dense::new(32, 16, r));
+                net.push(Relu::new());
+                net.push(Dense::new_xavier(16, 5, r));
+                net
+            }),
+        ]
+    }
+
+    fn assert_bits_eq(actual: &Tensor, expected: &Tensor, what: &str) {
+        assert_eq!(actual.shape(), expected.shape(), "{what}: shape");
+        for (i, (a, e)) in actual.data().iter().zip(expected.data()).enumerate() {
+            assert_eq!(a.to_bits(), e.to_bits(), "{what} element {i}: {a} vs {e}");
+        }
+    }
+
+    #[test]
+    fn batch_lane_pass_matches_per_layer_pass_bitwise() {
+        // The batch-lane pass (one layout for the whole network) against
+        // every layer's batch-outer pass: forward, `infer_into`, the
+        // parameter gradients of `backward_params` and then of a second
+        // `backward` without `zero_grad`, and its input gradient.  Batches
+        // 17 and 33 leave lanes of the kernel's vectors masked.
+        let mut r = rng(40);
+        for (name, template) in policy_shaped_nets(&mut r) {
+            for batch in [16usize, 17, 32, 33] {
+                let at = format!("{name} batch {batch}");
+                let (mut lanes, mut layered) = (template.clone(), template.clone());
+                let mut scratch = InferScratch::new();
+                let mut relu_negative_zeros = 0;
+                for round in 0..2 {
+                    let mut x = Tensor::rand_uniform(&[batch, 2, 9, 9], -1.0, 1.0, &mut r);
+                    for (i, v) in x.data_mut().iter_mut().enumerate().step_by(7) {
+                        *v = if i % 2 == 0 { -0.0 } else { 0.0 };
+                    }
+                    let mut expected = x.clone();
+                    for layer in &mut layered.layers {
+                        expected = layer.forward(&expected);
+                        if layer.name() == "Relu" {
+                            relu_negative_zeros += expected.data().iter().filter(|v| v.to_bits() == (-0.0f32).to_bits()).count();
+                        }
+                    }
+                    let y = lanes.forward(&x);
+                    assert!(lanes.lanes_cached, "{at}: the pass took the batch-lane layout");
+                    assert_bits_eq(&y, &expected, &format!("{at} forward"));
+                    assert_bits_eq(lanes.infer_into(&x, &mut scratch), &expected, &format!("{at} infer_into"));
+                    // The per-sample path agrees on single samples too.
+                    for n in [0, batch - 1] {
+                        let sample = Tensor::from_vec(vec![1, 2, 9, 9], x.data()[n * 162..(n + 1) * 162].to_vec()).unwrap();
+                        let single = lanes.infer(&sample);
+                        assert_bits_eq(&single, &expected.row(n), &format!("{at} sample {n}"));
+                    }
+
+                    let mut go = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut r);
+                    for v in go.data_mut().iter_mut().step_by(4) {
+                        *v = 0.0;
+                    }
+                    let (first, rest) = layered.layers.split_first_mut().unwrap();
+                    let mut g = go.clone();
+                    for layer in rest.iter_mut().rev() {
+                        g = layer.backward(&g);
+                    }
+                    if round == 0 {
+                        first.backward_params(&g);
+                        lanes.backward_params(&go);
+                    } else {
+                        let expected_dx = first.backward(&g);
+                        let dx = lanes.backward(&go);
+                        assert_bits_eq(&dx, &expected_dx, &format!("{at} input gradient"));
+                    }
+                    for (i, (a, e)) in lanes.grads().iter().zip(layered.grads()).enumerate() {
+                        assert_bits_eq(a, e, &format!("{at} round {round} gradient {i}"));
+                    }
+                }
+                assert!(relu_negative_zeros > 0, "{at}: no ReLU output was -0.0");
             }
         }
     }

@@ -23,6 +23,16 @@ pub trait Optimizer: Send {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
+/// `g` clamped to `[-clip, clip]` when clipping is on — `f32::clamp`, as
+/// [`Tensor::clamp_in_place`] does — and `g` unchanged otherwise.
+#[inline(always)]
+fn clip_grad(g: f32, clip: Option<f32>) -> f32 {
+    match clip {
+        Some(clip) => g.clamp(-clip, clip),
+        None => g,
+    }
+}
+
 /// Stochastic gradient descent with optional momentum and gradient clipping.
 ///
 /// # Examples
@@ -83,28 +93,26 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Sequential) {
-        let grads: Vec<Tensor> = net.grads().into_iter().cloned().collect();
-        if self.momentum > 0.0 && self.velocity.len() != grads.len() {
-            self.velocity = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
+        let params = net.params_and_grads_mut();
+        if self.momentum > 0.0 && self.velocity.len() != params.len() {
+            self.velocity = params.iter().map(|(_, g)| Tensor::zeros(g.shape())).collect();
         }
-        let params = net.params_mut();
-        debug_assert_eq!(params.len(), grads.len());
-        for (i, (param, grad)) in params.into_iter().zip(grads.iter()).enumerate() {
-            let mut g = grad.clone();
-            if let Some(clip) = self.grad_clip {
-                g.clamp_in_place(-clip, clip);
-            }
+        for (i, (param, grad)) in params.into_iter().enumerate() {
+            assert_eq!(param.shape(), grad.shape(), "parameter matches gradient");
+            // One pass per tensor, each element with the arithmetic of
+            // clamp, `v = v·μ + 1·g`, `θ += −lr·v` (or `θ += −lr·g`).
+            let grads = grad.data().iter().map(|g| clip_grad(*g, self.grad_clip));
             if self.momentum > 0.0 {
                 let v = &mut self.velocity[i];
-                v.scale_in_place(self.momentum);
-                v.add_scaled(&g, 1.0).expect("velocity matches gradient");
-                param
-                    .add_scaled(v, -self.lr)
-                    .expect("parameter matches velocity");
+                for ((p, v), g) in param.data_mut().iter_mut().zip(v.data_mut()).zip(grads) {
+                    *v *= self.momentum;
+                    *v += 1.0 * g;
+                    *p += -self.lr * *v;
+                }
             } else {
-                param
-                    .add_scaled(&g, -self.lr)
-                    .expect("parameter matches gradient");
+                for (p, g) in param.data_mut().iter_mut().zip(grads) {
+                    *p += -self.lr * g;
+                }
             }
         }
     }
@@ -185,41 +193,30 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, net: &mut Sequential) {
-        let grads: Vec<Tensor> = net.grads().into_iter().cloned().collect();
-        if self.first_moment.len() != grads.len() {
-            self.first_moment = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
-            self.second_moment = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
+        let params = net.params_and_grads_mut();
+        if self.first_moment.len() != params.len() {
+            self.first_moment = params.iter().map(|(_, g)| Tensor::zeros(g.shape())).collect();
+            self.second_moment = params.iter().map(|(_, g)| Tensor::zeros(g.shape())).collect();
         }
         self.step_count += 1;
         let t = self.step_count as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
 
-        let params = net.params_mut();
-        for (i, (param, grad)) in params.into_iter().zip(grads.iter()).enumerate() {
-            let mut g = grad.clone();
-            if let Some(clip) = self.grad_clip {
-                g.clamp_in_place(-clip, clip);
-            }
-            let m = &mut self.first_moment[i];
-            let v = &mut self.second_moment[i];
-            for ((m_i, v_i), g_i) in m
-                .data_mut()
-                .iter_mut()
-                .zip(v.data_mut().iter_mut())
-                .zip(g.data().iter())
+        for (i, (param, grad)) in params.into_iter().enumerate() {
+            let m = self.first_moment[i].data_mut();
+            let v = self.second_moment[i].data_mut();
+            assert_eq!(param.len(), grad.len(), "parameter matches gradient");
+            // One pass per tensor: the clamped gradient, both moments and
+            // the parameter, each with its two-pass arithmetic.
+            for (((p_i, m_i), v_i), &g_i) in
+                param.data_mut().iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(grad.data())
             {
+                let g_i = clip_grad(g_i, self.grad_clip);
                 *m_i = self.beta1 * *m_i + (1.0 - self.beta1) * g_i;
                 *v_i = self.beta2 * *v_i + (1.0 - self.beta2) * g_i * g_i;
-            }
-            for ((p_i, m_i), v_i) in param
-                .data_mut()
-                .iter_mut()
-                .zip(m.data().iter())
-                .zip(v.data().iter())
-            {
-                let m_hat = m_i / bias1;
-                let v_hat = v_i / bias2;
+                let m_hat = *m_i / bias1;
+                let v_hat = *v_i / bias2;
                 *p_i -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }

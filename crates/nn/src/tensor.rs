@@ -170,6 +170,25 @@ impl Tensor {
         })
     }
 
+    /// [`Tensor::reshape`] without the copy: consumes the tensor and keeps
+    /// its buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeDataMismatch`] if the element counts differ.
+    pub(crate) fn into_reshaped(mut self, shape: &[usize]) -> Result<Self> {
+        let expected: usize = shape.iter().product();
+        if expected != self.data.len() {
+            return Err(NnError::ShapeDataMismatch {
+                expected,
+                actual: self.data.len(),
+            });
+        }
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        Ok(self)
+    }
+
     /// Element access by flat (row-major) index.
     pub fn get(&self, index: usize) -> Option<f32> {
         self.data.get(index).copied()
