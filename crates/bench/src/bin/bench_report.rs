@@ -28,15 +28,20 @@
 //!   network-edge transposes, `PerturbContext::refresh`,
 //!   `sample_fault_map`, `perturb_map_into`, one `Adam::step`, and the
 //!   pair update timed in alternation with its GEMM products on dense
-//!   operands, which leaves its non-GEMM time;
+//!   operands, which leaves an estimate of its non-GEMM time (the
+//!   products mirror the layers' split by hand and read dense operands,
+//!   not the offset-table ones the real products read);
 //! * **Reference kernels** — GFLOP/s of the Reference tier's two GEMM
 //!   kernels on the per-sample conv2/conv3 shapes of C3F2 (what inference
 //!   below batch 16 runs): the scalar register tile (`gemm_nt`) and the
 //!   lanes-across-outputs kernel (`gemm_kn`) on the detected backend and
 //!   on its portable fallback (same products, same bits); the C3F2
 //!   convolutions' batch-lane routines — forward, dW and dX at batch 32,
-//!   inference at batch 16 and 32 — and their per-sample `infer_with` at
-//!   batch 8, in µs; and C3F2 `infer_into` at batch 1 and 8;
+//!   inference at batch 16 and 32, operands copied outside the timer
+//!   (`_lanes_` keys; BENCH_PR15.json's `_b32_forward_us`-style keys
+//!   timed the batch-outer calls with their edge transposes inside) —
+//!   and their per-sample `infer_with` at batch 8, in µs; and C3F2
+//!   `infer_into` at batch 1 and 8;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
 //!   once under the legacy contiguous partition and once under the
@@ -644,8 +649,10 @@ fn quick_replay(env: &mut NavigationEnv, rng: &mut StdRng) -> Result<ReplayBuffe
 ///   replay) and its GEMM time: the lanes-kernel products one pair
 ///   update runs, each on dense operands of its shape (see
 ///   [`pair_update_products`]).  The two are timed in alternation, each
-///   warm, so a change in host load reaches both, and `non_gemm_us` is
-///   the median of the per-round differences.
+///   warm, so a change in host load reaches both, and
+///   `non_gemm_estimate_us` is the median of the per-round differences —
+///   an estimate, as `gemm_estimate_us` is: the product list is a hand
+///   copy of the layers' split, run on dense operands.
 fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
     const N: usize = 32;
     let mut rng = StdRng::seed_from_u64(TRAIN_SEED ^ 2);
@@ -770,7 +777,7 @@ fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
     }
     rows.push(("pair_us".into(), median(pair)));
     rows.push(("gemm_estimate_us".into(), median(gemm)));
-    rows.push(("non_gemm_us".into(), median(non_gemm)));
+    rows.push(("non_gemm_estimate_us".into(), median(non_gemm)));
     Ok(rows)
 }
 
@@ -801,6 +808,9 @@ impl Product {
 /// The Reference lanes-kernel products of one C3F2 pair update at batch
 /// 32 — three training passes (forward, then dW of every layer and dX of
 /// all but the first) and three target inferences — on dense operands.
+/// The list is a hand copy of how `Conv2d` (`Lanes::forward`,
+/// `Lanes::input_gradient`) and `Dense` split a pass into products, so
+/// the GEMM time it gives is an estimate.
 ///
 /// # Panics
 ///
@@ -909,9 +919,9 @@ fn conv_pass_us() -> Vec<(String, f64)> {
         let forward = median_owned_call_us(&x, |x| drop(std::hint::black_box(conv.forward_lanes(x))));
         let dw = median_owned_call_us(&go, |go| conv.backward_params_lanes(go));
         let backward = median_owned_call_us(&go, |go| drop(std::hint::black_box(conv.backward_lanes(go))));
-        rows.push((format!("{name}_b32_forward_us"), forward));
-        rows.push((format!("{name}_b32_dw_us"), dw));
-        rows.push((format!("{name}_b32_dx_us"), (backward - dw).max(0.0)));
+        rows.push((format!("{name}_b32_lanes_forward_us"), forward));
+        rows.push((format!("{name}_b32_lanes_dw_us"), dw));
+        rows.push((format!("{name}_b32_lanes_dx_us"), (backward - dw).max(0.0)));
         let mut gemm = GemmScratch::new();
         let mut y = Tensor::default();
         let xb = Tensor::rand_uniform(&[8, ic, size, size], -1.0, 1.0, &mut r);
@@ -920,7 +930,7 @@ fn conv_pass_us() -> Vec<(String, f64)> {
         for batch in [16usize, 32] {
             let xb = to_batch_lanes(&Tensor::rand_uniform(&[batch, ic, size, size], -1.0, 1.0, &mut r));
             let infer = median_call_us(|| conv.infer_lanes(&xb, &mut y));
-            rows.push((format!("{name}_infer_b{batch}_us"), infer));
+            rows.push((format!("{name}_infer_lanes_b{batch}_us"), infer));
         }
     }
     rows

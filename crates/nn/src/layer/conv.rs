@@ -9,12 +9,13 @@
 //! offset tables — no im2col, no re-unrolling, no gather copy — and the
 //! forward's product `C[oc][oy][ox][n]` is the output itself.  The
 //! batch-outer `forward`/`backward` convert at the layer's edges around
-//! those routines.  Inference below [`BATCH_LANES_MIN`] (action
-//! selection, the lockstep rollout lanes) unrolls each sample's patches
-//! and runs lanes across output pixels; the Fast tier keeps its packed
-//! kernels.
+//! those routines.  The batch-outer `infer`/`infer_with` (action
+//! selection, the lockstep rollout lanes — a `Sequential` pass of
+//! [`BATCH_LANES_MIN`] samples or more runs `infer_lanes` instead) unroll
+//! each sample's patches and run lanes across output pixels; the Fast
+//! tier keeps its packed kernels.
 
-use super::{from_batch_lanes, from_batch_lanes_into, to_batch_lanes, Layer, BATCH_LANES_MIN};
+use super::{from_batch_lanes, to_batch_lanes, Layer, BATCH_LANES_MIN};
 use crate::gemm::{
     detected_fast_backend, gemm_kn, gemm_kn_at, gemm_nt_with, transpose, transpose_rows, BiasMode,
     GemmScratch, Im2colShape, KnOperands, Precision, Stride, StridedA,
@@ -226,7 +227,10 @@ impl Lanes {
     /// batch-lane output `out` (`[oc][q][n]`): per output pixel `q`,
     /// `out[oc][q][n] = bias[oc] ⊕ Σ_tap W[oc][tap] · xb[tap_at[tap] +
     /// pixel_at[q] + n]` with taps ascending — the direct kernel's order,
-    /// padding taps reading the `+0.0` border.
+    /// padding taps reading the `+0.0` border.  (`bench_report`'s
+    /// `pair_update_products` mirrors this split into products — one per
+    /// output row at stride 1, one per pixel otherwise; change both
+    /// together.)
     fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], offsets: &mut Vec<usize>, out: &mut [f32]) {
         let (n, plane, taps) = (self.batch, self.out_plane(), self.taps());
         offsets.clear();
@@ -389,7 +393,10 @@ impl Lanes {
     /// gb[base + rows[k] + n]`.  At stride 1 the one phase is the whole
     /// plane and the products write `grad_input` in place; at larger
     /// strides each phase's block is computed in `pass.c`, then copied to
-    /// its pixels sample run by sample run.
+    /// its pixels sample run by sample run.  (`bench_report`'s
+    /// `pair_update_products` mirrors this split into products — one per
+    /// entry of `phase.runs`, a row of each phase for C3F2's 3×3 kernels;
+    /// change both together.)
     fn input_gradient(&self, weight: &[f32], tables: &mut TrainScratch, pass: &mut PassScratch, grad_input: &mut [f32]) {
         self.prepare_phases(tables);
         let Im2colShape { channels: ic_n, height: h, width: w, kernel: k, stride: s, .. } = self.shape;
@@ -661,12 +668,6 @@ impl Layer for Conv2d {
 
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         let lanes = self.batch_outer_lanes(input.shape());
-        if gemm.precision() == Precision::Reference && lanes.batch >= BATCH_LANES_MIN {
-            let mut lane_out = Tensor::default();
-            self.infer_lanes(&to_batch_lanes(input), &mut lane_out);
-            from_batch_lanes_into(&lane_out, out);
-            return;
-        }
         let [out_c, out_h, out_w, batch] = lanes.out_dims();
         out.reset(&[batch, out_c, out_h, out_w]);
         let w_data = self.weight.data();
@@ -997,10 +998,10 @@ mod tests {
         let mut gemm = GemmScratch::new();
         // (in_c, out_c, kernel, stride, padding, h, w, batch) — odd sizes,
         // stride 1/2/3, padding 0..=2 (also wider than the kernel), kernels
-        // larger than the input and smaller than the stride.  The batches
-        // of 16 and more also run `infer_with` with lanes across the batch,
-        // 17 and 24 with masked lanes.  A 1×1 kernel at stride 1 without
-        // padding makes one dX product span several input rows.
+        // larger than the input and smaller than the stride.  `infer_lanes`
+        // and training run with lanes across the batch, 17 and 24 with
+        // masked lanes.  A 1×1 kernel at stride 1 without padding makes
+        // one dX product span several input rows.
         for &(ic, oc, k, s, p, h, w, batch) in &[
             (1usize, 1usize, 1usize, 1usize, 0usize, 1usize, 1usize, 1usize),
             (2, 3, 3, 1, 1, 9, 9, 2),
@@ -1068,6 +1069,10 @@ mod tests {
                 conv.infer_with(&head, &mut gemmed, &mut gemm);
                 let expected_head = &expected.data()[..gemmed.len()];
                 assert_bits_eq(gemmed.data(), expected_head, &format!("infer_with b{few} at {at}"));
+                let mut lane_out = Tensor::default();
+                conv.infer_lanes(&to_batch_lanes(x), &mut lane_out);
+                let lane_out = from_batch_lanes(&lane_out);
+                assert_bits_eq(lane_out.data(), expected.data(), &format!("infer_lanes at {at}"));
                 let y = conv.forward(x);
                 assert_bits_eq(y.data(), expected.data(), &format!("forward at {at}"));
 
