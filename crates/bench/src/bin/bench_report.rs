@@ -26,16 +26,20 @@
 //!   BERRY update, batch 32) spends its time, every figure timed around
 //!   public calls: each layer's batch-lane forward and backward, the
 //!   network-edge transposes, `PerturbContext::refresh`,
-//!   `sample_fault_map`, `perturb_map_into`, one `Adam::step`, and the
-//!   pair update timed in alternation with its GEMM products on dense
-//!   operands, which leaves an estimate of its non-GEMM time (the
-//!   products mirror the layers' split by hand and read dense operands,
-//!   not the offset-table ones the real products read);
+//!   `sample_fault_map`, `perturb_map_into`, one `Adam::step` (fresh, and
+//!   once first moments have gone subnormal), and the pair update timed
+//!   in alternation with its GEMM products on dense operands, which
+//!   leaves an estimate of its non-GEMM time (the products mirror the
+//!   layers' split by hand and read dense operands, not the offset-table
+//!   ones the real products read); the products are also timed per layer
+//!   and pass, on the lanes kernel's detected body and (`_avx2` keys) on
+//!   its 256-bit AVX2 body, so one report shows both widths on one host;
 //! * **Reference kernels** — GFLOP/s of the Reference tier's two GEMM
 //!   kernels on the per-sample conv2/conv3 shapes of C3F2 (what inference
 //!   below batch 16 runs): the scalar register tile (`gemm_nt`) and the
-//!   lanes-across-outputs kernel (`gemm_kn`) on the detected backend and
-//!   on its portable fallback (same products, same bits); the C3F2
+//!   lanes-across-outputs kernel (`gemm_kn`) on the body it runs here
+//!   (`backend`: `avx512`, `avx2` or `portable`), on its AVX2 body and on
+//!   its portable fallback (same products, same bits); the C3F2
 //!   convolutions' batch-lane routines — forward, dW and dX at batch 32,
 //!   inference at batch 16 and 32, operands copied outside the timer
 //!   (`_lanes_` keys; BENCH_PR15.json's `_b32_forward_us`-style keys
@@ -63,12 +67,12 @@ use berry_core::robust::{berry_update_step_with_scratch, DualPassScratch};
 use berry_core::{CampaignRow, PolicyStore, Scenario};
 use berry_faults::chip::ChipProfile;
 use berry_nn::gemm::{
-    detected_fast_backend, gemm_flops, gemm_kn, gemm_kn_with_backend, gemm_nt, gemm_nt_with, im2col,
+    gemm_flops, gemm_kn, gemm_kn_with_backend, gemm_nt, gemm_nt_with, im2col, lanes_kernel_body,
     BiasMode, FastBackend, GemmScratch, Im2colShape, Precision, StridedA,
 };
 use berry_nn::layer::{from_batch_lanes, to_batch_lanes, Conv2d, Dense, Flatten, Layer, Relu};
 use berry_nn::optim::{Adam, Optimizer};
-use berry_nn::network::InferScratch;
+use berry_nn::network::{InferScratch, Sequential};
 use berry_nn::tensor::Tensor;
 use berry_rl::dqn::DqnAgent;
 use berry_rl::env::Transition;
@@ -87,7 +91,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 16;
+const PR: u32 = 17;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -387,7 +391,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Reference tier: scalar tile vs lanes-across-outputs kernel. ---
     let _ = writeln!(json, "  \"reference_kernels\": {{");
-    let _ = writeln!(json, "    \"backend\": \"{}\",", detected_fast_backend().name());
+    let _ = writeln!(json, "    \"backend\": \"{}\",", lanes_kernel_body());
     for (name, gflops) in reference_kernel_gflops() {
         println!("kernels  {name:<32} {gflops:>7.2} GFLOP/s");
         let _ = writeln!(json, "    \"{name}\": {gflops:.3},");
@@ -644,15 +648,20 @@ fn quick_replay(env: &mut NavigationEnv, rng: &mut StdRng) -> Result<ReplayBuffe
 ///   step), and the transposes at the network's edges (input, output and
 ///   output gradient);
 /// * the rest of BERRY's step: `PerturbContext::refresh` (re-quantizing
-///   θ), `sample_fault_map` and `perturb_map_into`, and one `Adam::step`;
+///   θ), `sample_fault_map` and `perturb_map_into`, one `Adam::step`, and
+///   one once first moments have gone subnormal ([`adam_subnormal_us`]);
 /// * a pair update (a Classical and a BERRY update on an ε = 1 Quick
 ///   replay) and its GEMM time: the lanes-kernel products one pair
 ///   update runs, each on dense operands of its shape (see
-///   [`pair_update_products`]).  The two are timed in alternation, each
-///   warm, so a change in host load reaches both, and
-///   `non_gemm_estimate_us` is the median of the per-round differences —
-///   an estimate, as `gemm_estimate_us` is: the product list is a hand
-///   copy of the layers' split, run on dense operands.
+///   [`pair_update_products`]), on the body the lanes kernel runs here
+///   and (`gemm_estimate_avx2_us`) on its AVX2 body.  The three are timed
+///   in alternation, each warm, so a change in host load reaches all,
+///   and `non_gemm_estimate_us` is the median of the per-round
+///   differences to the first — an estimate, as the GEMM times are: the
+///   product list is a hand copy of the layers' split, run on dense
+///   operands;
+/// * per layer and pass (forward, dW, dX), the same products of one pass
+///   on both bodies: `{layer}_{pass}_gemm_us` and `_gemm_avx2_us`.
 fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
     const N: usize = 32;
     let mut rng = StdRng::seed_from_u64(TRAIN_SEED ^ 2);
@@ -739,6 +748,11 @@ fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
     let dqn = ExperimentScale::Quick.trainer_config().dqn;
     let mut adam = Adam::new(dqn.learning_rate).with_grad_clip(dqn.grad_clip);
     rows.push(("adam_step_us".into(), median_call_us(|| adam.step(&mut net))));
+    let mut net = QNetworkSpec::C3F2.build(&shape, actions, &mut rng)?;
+    net.forward(&input);
+    net.backward_params(&grad);
+    let adam = Adam::new(dqn.learning_rate).with_grad_clip(dqn.grad_clip);
+    rows.push(("adam_step_subnormal_us".into(), adam_subnormal_us(&mut net, adam)));
 
     let replay = quick_replay(&mut env, &mut rng)?;
     let dqn = ExperimentScale::Quick.trainer_config().dqn;
@@ -746,7 +760,7 @@ fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
     let mut berry = DqnAgent::new(&QNetworkSpec::C3F2, &shape, actions, dqn, &mut rng)?;
     let mut scratch = DualPassScratch::new();
     let mut products = pair_update_products(c, (h, w), actions, &mut rng);
-    let (mut pair, mut gemm, mut non_gemm) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut pair, mut gemm, mut gemm_avx2, mut non_gemm) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for rep in 0..TRAIN_REPS + 2 {
         // Each side runs once untimed first: the other side's data
         // (≈ 2 MB of dense operands) would otherwise have evicted its
@@ -760,46 +774,103 @@ fn pair_update_us() -> Result<Vec<(String, f64)>, Box<dyn std::error::Error>> {
             berry_update_step_with_scratch(&mut berry, &berry_batch, &perturber, &map, &mut scratch)?;
             pair_us = us(start);
         }
-        let mut gemm_us = 0.0;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for product in &mut products {
-                product.run();
+        let mut products_us = |avx2: bool| {
+            let mut gemm_us = 0.0;
+            for _ in 0..2 {
+                let start = Instant::now();
+                for product in &mut products {
+                    product.run(product.count * product.passes, avx2);
+                }
+                gemm_us = us(start);
             }
-            gemm_us = us(start);
-        }
+            gemm_us
+        };
+        let (gemm_us, gemm_avx2_us) = (products_us(false), products_us(true));
         // The first two rounds warm the buffers.
         if rep >= 2 {
             pair.push(pair_us);
             gemm.push(gemm_us);
+            gemm_avx2.push(gemm_avx2_us);
             non_gemm.push(pair_us - gemm_us);
         }
     }
     rows.push(("pair_us".into(), median(pair)));
     rows.push(("gemm_estimate_us".into(), median(gemm)));
+    rows.push(("gemm_estimate_avx2_us".into(), median(gemm_avx2)));
     rows.push(("non_gemm_estimate_us".into(), median(non_gemm)));
+    let mut passes: Vec<(&str, &str)> = Vec::new();
+    for product in &products {
+        if !passes.contains(&(product.layer, product.pass)) {
+            passes.push((product.layer, product.pass));
+        }
+    }
+    for (layer, pass) in passes {
+        for (suffix, avx2) in [("", false), ("_avx2", true)] {
+            let us = median_call_us(|| {
+                for product in products.iter_mut().filter(|p| (p.layer, p.pass) == (layer, pass)) {
+                    product.run(product.count, avx2);
+                }
+            });
+            rows.push((format!("{layer}_{pass}_gemm{suffix}_us"), us));
+        }
+    }
     Ok(rows)
 }
 
+/// Median µs of a C3F2 `Adam::step` once first moments have gone
+/// subnormal, the phase most updates of a long Quick training run in:
+/// `net` holds a full gradient for step 1, then 40 % of every gradient
+/// tensor (elements `i % 5 < 2`) is zeroed, as a dead ReLU unit's are,
+/// and each step of 2–1500 is timed; the median is over steps 1000–1500,
+/// by which time the zeroed elements' first moments, shrinking by β₁ per
+/// step, have left the normal range.
+fn adam_subnormal_us(net: &mut Sequential, mut adam: Adam) -> f64 {
+    adam.step(net);
+    for grad in net.grads_mut() {
+        for (i, g) in grad.data_mut().iter_mut().enumerate() {
+            if i % 5 < 2 {
+                *g = 0.0;
+            }
+        }
+    }
+    let steps: Vec<f64> = (2..=1500)
+        .map(|_| {
+            let start = Instant::now();
+            adam.step(net);
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    median(steps[1000 - 2..].to_vec())
+}
+
 /// One lanes-kernel product shape of the pair update, with dense
-/// operands, and how many times a pair update runs it.
+/// operands: the layer and pass it belongs to, how many times one pass
+/// runs it and how many such passes a pair update makes.
 struct Product {
+    layer: &'static str,
+    pass: &'static str,
     m: usize,
     n: usize,
     k: usize,
-    calls: usize,
+    count: usize,
+    passes: usize,
     a: Vec<f32>,
     b: Vec<f32>,
     c: Vec<f32>,
 }
 
 impl Product {
-    /// Runs the product `calls` times.
-    fn run(&mut self) {
-        let Product { m, n, k, calls, .. } = *self;
+    /// Runs the product `calls` times on the body the lanes kernel runs
+    /// here, or on its AVX2 body when `avx2`.
+    fn run(&mut self, calls: usize, avx2: bool) {
+        let Product { m, n, k, .. } = *self;
         for _ in 0..calls {
             let a = StridedA::row_major(&self.a, k);
-            gemm_kn(m, n, k, a, &self.b, BiasMode::None, &mut self.c);
+            if avx2 {
+                gemm_kn_with_backend(m, n, k, a, &self.b, BiasMode::None, &mut self.c, FastBackend::Avx2);
+            } else {
+                gemm_kn(m, n, k, a, &self.b, BiasMode::None, &mut self.c);
+            }
         }
         std::hint::black_box(&self.c);
     }
@@ -819,39 +890,41 @@ impl Product {
 fn pair_update_products(c: usize, (h, w): (usize, usize), actions: usize, rng: &mut StdRng) -> Vec<Product> {
     const N: usize = 32;
     assert_eq!((h, w), (9, 9), "the product list is written for a 9×9 observation");
-    // (m, n, k, products per pass)
+    // (layer, pass, m, n, k, products per pass)
     let forward = [
-        (8, 9 * N, 9 * c, 9),
-        (16, N, 72, 25),
-        (16, 5 * N, 144, 5),
-        (64, N, 400, 1),
-        (actions, N, 64, 1),
+        ("conv1", "forward", 8, 9 * N, 9 * c, 9),
+        ("conv2", "forward", 16, N, 72, 25),
+        ("conv3", "forward", 16, 5 * N, 144, 5),
+        ("fc1", "forward", 64, N, 400, 1),
+        ("fc2", "forward", actions, N, 64, 1),
     ];
     let backward = [
-        // dW: conv1–3, fc1, fc2.
-        (9 * c, 8, 81 * N, 1),
-        (72, 16, 25 * N, 1),
-        (144, 16, 25 * N, 1),
-        (64, 400, N, 1),
-        (actions, 64, N, 1),
-        // dX: fc2, fc1, conv3 (one product per input row), conv2 (one
-        // per row of each stride phase: 4×4 pixels with 4 taps, 4×5 and
-        // 5×4 with 2, 5×5 with 1).
-        (64, N, actions, 1),
-        (400, N, 64, 1),
-        (16, 5 * N, 144, 5),
-        (8, 4 * N, 64, 4),
-        (8, 5 * N, 32, 4),
-        (8, 4 * N, 32, 5),
-        (8, 5 * N, 16, 5),
+        ("conv1", "dw", 9 * c, 8, 81 * N, 1),
+        ("conv2", "dw", 72, 16, 25 * N, 1),
+        ("conv3", "dw", 144, 16, 25 * N, 1),
+        ("fc1", "dw", 64, 400, N, 1),
+        ("fc2", "dw", actions, 64, N, 1),
+        // dX: conv3 runs one product per input row, conv2 one per row of
+        // each stride phase (4×4 pixels with 4 taps, 4×5 and 5×4 with 2,
+        // 5×5 with 1).
+        ("fc2", "dx", 64, N, actions, 1),
+        ("fc1", "dx", 400, N, 64, 1),
+        ("conv3", "dx", 16, 5 * N, 144, 5),
+        ("conv2", "dx", 8, 4 * N, 64, 4),
+        ("conv2", "dx", 8, 5 * N, 32, 4),
+        ("conv2", "dx", 8, 4 * N, 32, 5),
+        ("conv2", "dx", 8, 5 * N, 16, 5),
     ];
     let passes = forward.map(|shape| (shape, 6)).into_iter().chain(backward.map(|shape| (shape, 3)));
     passes
-        .map(|((m, n, k, count), passes)| Product {
+        .map(|((layer, pass, m, n, k, count), passes)| Product {
+            layer,
+            pass,
             m,
             n,
             k,
-            calls: count * passes,
+            count,
+            passes,
             a: Tensor::rand_uniform(&[m * k], -1.0, 1.0, rng).into_data(),
             b: Tensor::rand_uniform(&[k * n], -1.0, 1.0, rng).into_data(),
             c: vec![0.0; m * n],
@@ -861,8 +934,9 @@ fn pair_update_products(c: usize, (h, w): (usize, usize), actions: usize, rng: &
 
 /// GFLOP/s of the Reference tier's kernels on one sample's C3F2 conv2 and
 /// conv3 training GEMMs: `_scalar_tile` is `gemm_nt` over the NT operands,
-/// `_lanes` and `_lanes_portable` are `gemm_kn` over the same products in
-/// k-major form on the detected backend and on the portable fallback.
+/// `_lanes`, `_lanes_avx2` and `_lanes_portable` are `gemm_kn` over the
+/// same products in k-major form on the body it runs here, on its AVX2
+/// body and on its portable fallback.
 fn reference_kernel_gflops() -> Vec<(String, f64)> {
     let mut r = StdRng::seed_from_u64(19);
     let mut rows = Vec::new();
@@ -881,17 +955,19 @@ fn reference_kernel_gflops() -> Vec<(String, f64)> {
         let mut c = vec![0.0f32; m * n];
         let flops = gemm_flops(m, n, k);
         let tile = time_gflops(|| gemm_nt(m, n, k, a.data(), &b_nt, BiasMode::None, &mut c), flops);
+        let view = StridedA::row_major(a.data(), k);
+        let simd = time_gflops(|| gemm_kn(m, n, k, view, b_kn.data(), BiasMode::None, &mut c), flops);
         let mut lanes = |backend: FastBackend| {
-            let view = StridedA::row_major(a.data(), k);
             time_gflops(
                 || gemm_kn_with_backend(m, n, k, view, b_kn.data(), BiasMode::None, &mut c, backend),
                 flops,
             )
         };
-        let simd = lanes(detected_fast_backend());
+        let avx2 = lanes(FastBackend::Avx2);
         let portable = lanes(FastBackend::Scalar);
         rows.push((format!("{name}_scalar_tile"), tile));
         rows.push((format!("{name}_lanes"), simd));
+        rows.push((format!("{name}_lanes_avx2"), avx2));
         rows.push((format!("{name}_lanes_portable"), portable));
     }
     rows

@@ -9,9 +9,12 @@
 //! bits; what a SIMD kernel must not do — split one element's sum across
 //! lanes, or fuse the multiply into the add — this one never does.
 //!
-//! The AVX2 body lives in the audited leaf [`super::simd_avx2`]; the
-//! portable fallback below runs the same tile loop in safe Rust.  Both
-//! only ever compute `C += A·B` from the current contents of `C`; the
+//! The kernel has three bodies, one per rung of an instruction-set
+//! ladder ([`KnBody`]): 16-lane AVX-512 tiles, 8-lane AVX2 tiles (both in
+//! the audited leaf [`super::simd_avx2`]) and a portable fallback below
+//! that runs the same tile loop in safe Rust.  Each rung gives the same
+//! bits; a process runs the widest one its CPU reports.  All three only
+//! ever compute `C += A·B` from the current contents of `C`; the
 //! [`BiasMode`]s are applied around that core by [`gemm_kn`] as the
 //! starting value (`None`, `RowInit`) or a final add (`ColAfter`), which
 //! is where the scalar kernels apply them too.
@@ -25,11 +28,67 @@
 // lint: pinned-path — reductions here feed golden-pinned statistics; use berry_nn::reduce helpers
 
 use super::{detected_fast_backend, BiasMode, FastBackend};
+use std::sync::OnceLock;
 
-/// Output rows per register tile.
+/// Output rows per AVX2 and portable register tile.
 pub(crate) const MR_K: usize = 4;
-/// Output columns per register tile (two eight-lane vectors).
+/// Output columns per AVX2 register tile (two eight-lane vectors).
 pub(crate) const NR_K: usize = 16;
+
+/// The body the lanes kernel runs: the width of its tiles.  Every body
+/// adds each element's terms in the same order with the same operations,
+/// so the choice changes speed and never bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// Other targets never pick the x86 bodies outside the tests.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) enum KnBody {
+    /// 16-lane AVX-512 tiles (x86_64 with `avx512f`); a product of at most
+    /// eight output columns, which would fill half a vector, runs the AVX2
+    /// tile instead.
+    Avx512,
+    /// 8-lane AVX2 tiles (x86_64 with `avx2`).
+    Avx2,
+    /// Safe Rust on every target.
+    Portable,
+}
+
+impl KnBody {
+    /// The body this process runs, decided once: the portable one when
+    /// [`detected_fast_backend`] is not AVX2 (`BERRY_GEMM_FORCE_SCALAR=1`,
+    /// or no AVX2 on the CPU — aarch64 included), otherwise AVX-512 if the
+    /// CPU reports `avx512f` and AVX2 if not.
+    pub(crate) fn detected() -> Self {
+        static BODY: OnceLock<KnBody> = OnceLock::new();
+        *BODY.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if detected_fast_backend() == FastBackend::Avx2 {
+                    return if std::arch::is_x86_feature_detected!("avx512f") {
+                        KnBody::Avx512
+                    } else {
+                        KnBody::Avx2
+                    };
+                }
+            }
+            KnBody::Portable
+        })
+    }
+
+    /// Lowercase body name for reports.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            KnBody::Avx512 => "avx512",
+            KnBody::Avx2 => "avx2",
+            KnBody::Portable => "portable",
+        }
+    }
+}
+
+/// The name of the body [`gemm_kn`] and the layers' lanes products run in
+/// this process: `"avx512"`, `"avx2"` or `"portable"`.
+pub fn lanes_kernel_body() -> &'static str {
+    KnBody::detected().name()
+}
 
 /// A read-only `m×k` matrix over a slice, element `(i, p)` at
 /// `data[i·row_stride + p·col_stride]` — so a row-major matrix and the
@@ -68,9 +127,9 @@ impl<'a> StridedA<'a> {
 /// are windows of a larger buffer — the convolution's zero-bordered,
 /// batch-innermost planes — in place, without an unrolling copy.
 ///
-/// For every `i < len`, `at(i)` must not exceed `last(len)`: the AVX2
-/// kernel bounds its unchecked reads by `last` alone, and in debug builds
-/// its entry checks every offset of every product against it.
+/// For every `i < len`, `at(i)` must not exceed `last(len)`: the x86
+/// bodies bound their unchecked reads by `last` alone, and in debug builds
+/// their entry checks every offset of every product against it.
 pub(crate) trait Offsets: Copy {
     /// The offset of index `i`.
     fn at(self, i: usize) -> usize;
@@ -133,9 +192,10 @@ pub(crate) struct KnOperands<'a, AR, AC, BR> {
 /// tier: bitwise equal to [`gemm_nt`](super::gemm_nt) on the same
 /// products, every `BiasMode` included.
 ///
-/// Runs the AVX2 kernel when [`detected_fast_backend`] reports AVX2 and
-/// the portable one otherwise (so `BERRY_GEMM_FORCE_SCALAR=1` selects the
-/// portable kernel); both produce the same bits.
+/// Runs the widest body the CPU has ([`lanes_kernel_body`]): AVX-512 or
+/// AVX2 when [`detected_fast_backend`] reports AVX2 and the portable one
+/// otherwise (so `BERRY_GEMM_FORCE_SCALAR=1` selects the portable
+/// kernel); all produce the same bits.
 ///
 /// # Panics
 ///
@@ -150,12 +210,14 @@ pub fn gemm_kn(
     bias: BiasMode,
     c: &mut [f32],
 ) {
-    gemm_kn_with_backend(m, n, k, a, b, bias, c, detected_fast_backend());
+    gemm_kn_on(m, n, k, a, b, bias, c, KnBody::detected());
 }
 
 /// Test/bench hook: [`gemm_kn`] on an explicitly chosen backend, so the
-/// AVX2 and portable kernels can be compared in one process.  Any backend
-/// but an executable [`FastBackend::Avx2`] runs the portable kernel.
+/// AVX2 and portable bodies can be compared in one process.  An
+/// executable [`FastBackend::Avx2`] runs the AVX2 body — even on a CPU
+/// with AVX-512, whose body [`gemm_kn`] runs — and any other backend the
+/// portable one.
 ///
 /// # Panics
 ///
@@ -171,6 +233,22 @@ pub fn gemm_kn_with_backend(
     c: &mut [f32],
     backend: FastBackend,
 ) {
+    let body = if backend == FastBackend::Avx2 { KnBody::Avx2 } else { KnBody::Portable };
+    gemm_kn_on(m, n, k, a, b, bias, c, body);
+}
+
+/// [`gemm_kn`] on the given body.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_kn_on(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: StridedA,
+    b: &[f32],
+    bias: BiasMode,
+    c: &mut [f32],
+    body: KnBody,
+) {
     let ops = KnOperands {
         a: a.data,
         a_rows: Stride(a.row_stride),
@@ -179,10 +257,10 @@ pub fn gemm_kn_with_backend(
         b_rows: Stride(n),
         ldc: n,
     };
-    gemm_kn_at(m, n, k, &ops, bias, c, backend);
+    gemm_kn_at(m, n, k, &ops, bias, c, body);
 }
 
-/// [`gemm_kn_with_backend`] over operands addressed through offset
+/// [`gemm_kn_on`] over operands addressed through offset
 /// tables or strides (see [`KnOperands`]): the same kernel, the same
 /// per-element order, the same bits.  `C`'s rows may lie `ldc ≥ n`
 /// apart; elements between them are left untouched.
@@ -198,7 +276,7 @@ pub(crate) fn gemm_kn_at<AR: Offsets, AC: Offsets, BR: Offsets>(
     ops: &KnOperands<AR, AC, BR>,
     bias: BiasMode,
     c: &mut [f32],
-    backend: FastBackend,
+    body: KnBody,
 ) {
     check_kn_shapes(m, n, k, ops, &bias, c);
     if m == 0 || n == 0 {
@@ -219,7 +297,7 @@ pub(crate) fn gemm_kn_at<AR: Offsets, AC: Offsets, BR: Offsets>(
         }
         BiasMode::Accumulate => {}
     }
-    accumulate(m, n, k, ops, c, backend);
+    accumulate(m, n, k, ops, c, body);
     if let BiasMode::ColAfter(bias) = bias {
         for row in rows() {
             for (v, &b0) in c[row].iter_mut().zip(bias) {
@@ -271,23 +349,26 @@ fn check_kn_shapes<AR: Offsets, AC: Offsets, BR: Offsets>(
     }
 }
 
-/// `C += A·B` on the chosen backend; `m`, `n` ≥ 1 and the extents checked.
+/// `C += A·B` on the chosen body; `m`, `n` ≥ 1 and the extents checked.
+/// A body the CPU cannot run steps down the ladder (AVX-512, AVX2,
+/// portable) to one it can.
 fn accumulate<AR: Offsets, AC: Offsets, BR: Offsets>(
     m: usize,
     n: usize,
     k: usize,
     ops: &KnOperands<AR, AC, BR>,
     c: &mut [f32],
-    backend: FastBackend,
+    body: KnBody,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if backend == FastBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            super::simd_avx2::kn_accumulate_at(m, n, k, ops, c);
+        if body != KnBody::Portable && std::arch::is_x86_feature_detected!("avx2") {
+            let avx512 = body == KnBody::Avx512 && std::arch::is_x86_feature_detected!("avx512f");
+            super::simd_avx2::kn_accumulate_at(m, n, k, ops, c, avx512);
             return;
         }
     }
-    let _ = backend;
+    let _ = body;
     let mut i0 = 0;
     while i0 < m {
         let rows = MR_K.min(m - i0);

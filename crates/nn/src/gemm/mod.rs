@@ -72,9 +72,10 @@
 //! Tier selection is carried by [`GemmScratch`] (and therefore by
 //! `InferScratch`), defaulting to `Reference` everywhere; the instruction
 //! set is picked once per process by [`detected_fast_backend`] for both
-//! tiers (AVX2 runs the Fast microkernels and the [`gemm_kn`] lanes
-//! kernel), and `BERRY_GEMM_FORCE_SCALAR=1` pins both to their portable
-//! fallbacks.
+//! tiers (AVX2 runs the Fast microkernels, and the [`gemm_kn`] lanes
+//! kernel runs its AVX-512 body where the CPU has `avx512f` and its AVX2
+//! body elsewhere — see [`lanes_kernel_body`]), and
+//! `BERRY_GEMM_FORCE_SCALAR=1` pins both to their portable fallbacks.
 
 // lint: pinned-path — reductions here feed golden-pinned statistics; use berry_nn::reduce helpers
 
@@ -87,9 +88,9 @@ mod simd_avx2;
 mod simd_neon;
 mod transpose;
 
-pub(crate) use kn::{gemm_kn_at, KnOperands, Stride};
+pub(crate) use kn::{gemm_kn_at, KnBody, KnOperands, Stride};
 pub(crate) use transpose::{transpose, transpose_rows};
-pub use kn::{gemm_kn, gemm_kn_with_backend, StridedA};
+pub use kn::{gemm_kn, gemm_kn_with_backend, lanes_kernel_body, StridedA};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -233,9 +234,11 @@ impl Precision {
 }
 
 /// The instruction-set backend executing the Fast tier's accumulation
-/// spec — and, for [`gemm_kn`], the Reference tier's lanes kernel (AVX2,
-/// or the portable kernel for any other value).  Within a tier all
-/// backends produce identical bits; the choice only affects speed.
+/// spec — and, for [`gemm_kn_with_backend`], the Reference tier's lanes
+/// kernel (its AVX2 body, or the portable one for any other value;
+/// [`gemm_kn`] itself also runs an AVX-512 body where the CPU has one).
+/// Within a tier all backends produce identical bits; the choice only
+/// affects speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastBackend {
     /// 256-bit AVX2 + FMA microkernel (x86_64).
@@ -908,24 +911,48 @@ mod tests {
         }
     }
 
+    /// The lanes-kernel bodies this CPU runs; each one it cannot run is
+    /// named on stderr, so a test over them never passes silently without
+    /// it.
+    fn kn_bodies() -> Vec<KnBody> {
+        let mut bodies = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        for (body, feature, present) in [
+            (KnBody::Avx512, "avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+            (KnBody::Avx2, "avx2", std::arch::is_x86_feature_detected!("avx2")),
+        ] {
+            if present {
+                bodies.push(body);
+            } else {
+                eprintln!("skipping the {} lanes-kernel body: this CPU lacks {feature}", body.name());
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("skipping the avx512 and avx2 lanes-kernel bodies: not an x86_64 target");
+        bodies.push(KnBody::Portable);
+        bodies
+    }
+
     #[test]
     fn kn_kernel_matches_reference_bitwise_on_every_backend() {
-        // Fringe rows (m % 4), fringe columns (n % 8, n % 16), k = 1,
-        // every bias mode, a row-major and a transposed (strided) A, and
-        // −0.0 / exact-zero operands and priors.
+        // Fringe rows (m % 4, m % 8), fringe columns (n % 8, n % 16,
+        // n % 32) and products of at most eight columns, k = 1, every bias
+        // mode, a row-major and a transposed (strided) A, and −0.0 /
+        // exact-zero operands and priors.
         let mut r = rng(10);
         let mut shapes = Vec::new();
-        for m in [1usize, 2, 3, 4, 5, 7, 8, 13] {
-            for n in [1usize, 5, 8, 9, 15, 16, 17, 24, 25, 33, 81] {
+        for m in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 15, 17] {
+            for n in [1usize, 5, 8, 9, 15, 16, 17, 24, 25, 31, 32, 33, 47, 81, 160, 400] {
                 shapes.push((m, n, [1usize, 7, 25][(m + n) % 3]));
             }
         }
-        shapes.extend([(16, 144, 25), (64, 400, 32), (32, 64, 25)]);
+        shapes.extend([(16, 144, 25), (64, 400, 32), (32, 64, 25), (18, 8, 300), (144, 16, 40)]);
         let signed_zeros = |v: &mut Vec<f32>, every: usize| {
             for (i, x) in v.iter_mut().enumerate().step_by(every) {
                 *x = if i % 2 == 0 { -0.0 } else { 0.0 };
             }
         };
+        let bodies = kn_bodies();
         for &(m, n, k) in &shapes {
             let mut a = rand_vec(m * k, &mut r);
             let mut b_kn = rand_vec(k * n, &mut r);
@@ -949,18 +976,18 @@ mod tests {
             ] {
                 let mut c_ref = c_prior.clone();
                 gemm_nt_reference(m, n, k, &a, &b_nt, bias, &mut c_ref);
-                for backend in [FastBackend::Avx2, FastBackend::Scalar] {
+                for &body in &bodies {
                     for (view, layout) in [
                         (StridedA::row_major(&a, k), "row-major A"),
                         (StridedA::transposed(&a_t, m), "transposed A"),
                     ] {
                         let mut c_kn = c_prior.clone();
-                        gemm_kn_with_backend(m, n, k, view, &b_kn, bias, &mut c_kn, backend);
+                        kn::gemm_kn_on(m, n, k, view, &b_kn, bias, &mut c_kn, body);
                         for (i, (x, y)) in c_kn.iter().zip(&c_ref).enumerate() {
                             assert_eq!(
                                 x.to_bits(),
                                 y.to_bits(),
-                                "({m},{n},{k}) {bias:?} {backend:?} {layout} element {i}: {x} vs {y}"
+                                "({m},{n},{k}) {bias:?} {body:?} {layout} element {i}: {x} vs {y}"
                             );
                         }
                     }
@@ -975,7 +1002,8 @@ mod tests {
         // from an offset table with a strided `A` (forward, dX), and `A`
         // rows and columns from tables with strided `B` (dW) — scattered
         // through larger buffers, with `C` rows `ldc > n` apart.  Fringe
-        // rows (m % 4), fringe columns (n % 8), k = 1, every bias mode,
+        // rows (m % 4, m % 8), fringe columns (n % 8, n % 16, n % 32) and
+        // products of at most eight columns, k = 1, every bias mode,
         // `Accumulate` from a random prior C, and ±0.0 operands.
         let mut r = rng(12);
         let shuffled = |len: usize, r: &mut rand::rngs::StdRng| {
@@ -990,6 +1018,7 @@ mod tests {
                 *x = if i % 2 == 0 { -0.0 } else { 0.0 };
             }
         };
+        let bodies = kn_bodies();
         for &(m, n, k) in &[
             (1usize, 1usize, 1usize),
             (3, 8, 1),
@@ -999,6 +1028,13 @@ mod tests {
             (8, 32, 72),
             (13, 5, 33),
             (16, 288, 18),
+            (9, 31, 5),
+            (15, 32, 12),
+            (17, 33, 9),
+            (6, 47, 3),
+            (18, 8, 40),
+            (16, 160, 14),
+            (11, 400, 4),
         ] {
             // A scattered: rows `k + 3` apart in shuffled order, columns at
             // shuffled positions within a row.
@@ -1027,7 +1063,7 @@ mod tests {
             ] {
                 let mut c_ref = c_prior.clone();
                 gemm_nt_reference(m, n, k, &a, &b_nt, bias, &mut c_ref);
-                for backend in [FastBackend::Avx2, FastBackend::Scalar] {
+                for &body in &bodies {
                     let strided_a = KnOperands {
                         a: &a,
                         a_rows: Stride(k),
@@ -1051,9 +1087,9 @@ mod tests {
                             c[i * ldc..i * ldc + n].copy_from_slice(row);
                         }
                         if layout == "table B" {
-                            gemm_kn_at(m, n, k, &strided_a, bias, &mut c, backend);
+                            gemm_kn_at(m, n, k, &strided_a, bias, &mut c, body);
                         } else {
-                            gemm_kn_at(m, n, k, &tabled_a, bias, &mut c, backend);
+                            gemm_kn_at(m, n, k, &tabled_a, bias, &mut c, body);
                         }
                         outs.push((layout, c));
                     }
@@ -1064,7 +1100,7 @@ mod tests {
                                 assert_eq!(
                                     x.to_bits(),
                                     y.to_bits(),
-                                    "({m},{n},{k}) {bias:?} {backend:?} {layout} element ({i},{j}): {x} vs {y}"
+                                    "({m},{n},{k}) {bias:?} {body:?} {layout} element ({i},{j}): {x} vs {y}"
                                 );
                             }
                             // Between C's rows nothing is written.
@@ -1080,15 +1116,16 @@ mod tests {
     #[test]
     fn kn_kernel_leaves_c_past_its_extent_untouched() {
         // Masked stores write only the tile's own columns.
-        let (m, n, k) = (3usize, 13usize, 4usize);
         let mut r = rng(11);
-        let a = rand_vec(m * k, &mut r);
-        let b = rand_vec(k * n, &mut r);
-        for backend in [FastBackend::Avx2, FastBackend::Scalar] {
-            let mut c = vec![f32::NAN; m * n + 9];
-            gemm_kn_with_backend(m, n, k, StridedA::row_major(&a, k), &b, BiasMode::None, &mut c, backend);
-            assert!(c[..m * n].iter().all(|v| v.is_finite()), "{backend:?}");
-            assert!(c[m * n..].iter().all(|v| v.is_nan()), "{backend:?}");
+        for (m, n, k) in [(3usize, 13usize, 4usize), (9, 45, 3)] {
+            let a = rand_vec(m * k, &mut r);
+            let b = rand_vec(k * n, &mut r);
+            for body in kn_bodies() {
+                let mut c = vec![f32::NAN; m * n + 17];
+                kn::gemm_kn_on(m, n, k, StridedA::row_major(&a, k), &b, BiasMode::None, &mut c, body);
+                assert!(c[..m * n].iter().all(|v| v.is_finite()), "{body:?}");
+                assert!(c[m * n..].iter().all(|v| v.is_nan()), "{body:?}");
+            }
         }
     }
 

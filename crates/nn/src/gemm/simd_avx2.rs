@@ -1,13 +1,15 @@
-//! AVX2 bodies of both precision tiers.
+//! x86 bodies of both precision tiers.
 //!
 //! * **Fast** — the eight-lane accumulation spec (see [`super::fast`]):
-//!   one 256-bit register *is* the spec's eight lanes, so each
+//!   one 256-bit AVX2 register *is* the spec's eight lanes, so each
 //!   `vfmadd231ps` performs one spec step for all lanes of one output
 //!   element at once.
-//! * **Reference** — the lanes-across-outputs kernel (see [`super::kn`]):
-//!   each lane is a different output element, and each element's terms
-//!   are added in ascending order by a `vmulps` then a `vaddps`, never
-//!   fused, so every lane replays the scalar kernel's rounding sequence.
+//! * **Reference** — the lanes-across-outputs kernel (see [`super::kn`])
+//!   at two widths: 16-lane AVX-512 tiles and 8-lane AVX2 tiles.  Each
+//!   lane is a different output element, and each element's terms are
+//!   added in ascending order by a `vmulps` then a `vaddps`, never fused,
+//!   so every lane replays the scalar kernel's rounding sequence and the
+//!   width changes speed, never bits.
 //!
 //! * **Layout** — the 8×8 block transpose of [`super::transpose`]: pure
 //!   data movement, no arithmetic.
@@ -22,7 +24,9 @@
 use super::fast::{KR, MR_F, NR_F};
 use super::kn::{KnOperands, Offsets, MR_K, NR_K};
 use std::arch::x86_64::{
-    __m128, __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32,
+    __m128, __m256, __m256i, __mmask16, _mm512_add_ps, _mm512_loadu_ps,
+    _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    _mm512_storeu_ps, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32,
     _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps,
     _mm256_maskstore_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_epi32,
     _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
@@ -152,17 +156,26 @@ unsafe fn reduce_row(acc_row: &[__m256; NR_F]) -> __m128 {
     _mm_add_ps(_mm_add_ps(p0, p2), _mm_add_ps(p1, p3)) // (s0+s2)+(s1+s3), per j
 }
 
+/// Output rows per AVX-512 register tile.
+const MR_Z: usize = 8;
+/// Output columns per AVX-512 register tile (two 16-lane vectors).
+const NR_Z: usize = 32;
+
 /// Safe entry of the Reference tier's lanes-across-outputs kernel:
 /// `C[i][j] += Σₚ A(i, p) · B[p][j]` over the operands `ops` addresses
-/// (see [`KnOperands`]), each element's terms added in ascending `p`.  All
-/// unsafe preconditions are discharged here: the operands' reach by
-/// assertion over their offsets, AVX2 by (cached) runtime detection.
+/// (see [`KnOperands`]), each element's terms added in ascending `p`.
+/// With `avx512`, a product of more than eight output columns runs the
+/// 16-lane tiles; the rest run the 8-lane ones, which a product that
+/// would fill half a 16-lane vector runs faster.  All unsafe
+/// preconditions are discharged here: the operands' reach by assertion
+/// over their offsets, the target features by (cached) runtime detection.
 pub(crate) fn kn_accumulate_at<AR: Offsets, AC: Offsets, BR: Offsets>(
     m: usize,
     n: usize,
     k: usize,
     ops: &KnOperands<AR, AC, BR>,
     c: &mut [f32],
+    avx512: bool,
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -174,15 +187,27 @@ pub(crate) fn kn_accumulate_at<AR: Offsets, AC: Offsets, BR: Offsets>(
     assert!(ops.a_rows.last(m) + ops.a_cols.last(k) < ops.a.len());
     assert!(ops.b_rows.last(k) + n <= ops.b.len());
     assert!(ops.ldc >= n && (m - 1) * ops.ldc + n <= c.len());
-    assert!(
-        std::arch::is_x86_feature_detected!("avx2"),
-        "AVX2 backend selected on a CPU without avx2"
-    );
-    // SAFETY: the asserts above bound every `A`, `B` and `C` access of the
-    // sweep — every offset the tables or strides yield for `i < m`,
-    // `p < k` is at most their asserted maxima — and guarantee the
-    // required target feature is present.
-    unsafe { kn_accumulate(m, n, k, ops, c.as_mut_ptr()) }
+    if avx512 && n > 8 {
+        assert!(
+            std::arch::is_x86_feature_detected!("avx512f"),
+            "AVX-512 body selected on a CPU without avx512f"
+        );
+        // SAFETY: the asserts above bound every `A`, `B` and `C` access of
+        // the sweep, as for the 8-lane body below (the 16-lane body reads
+        // and writes no column past `n`: its last vector is masked), and
+        // guarantee the required target feature is present.
+        unsafe { kn_accumulate_512(m, n, k, ops, c.as_mut_ptr()) }
+    } else {
+        assert!(
+            std::arch::is_x86_feature_detected!("avx2"),
+            "AVX2 backend selected on a CPU without avx2"
+        );
+        // SAFETY: the asserts above bound every `A`, `B` and `C` access of
+        // the sweep — every offset the tables or strides yield for `i < m`,
+        // `p < k` is at most their asserted maxima — and guarantee the
+        // required target feature is present.
+        unsafe { kn_accumulate(m, n, k, ops, c.as_mut_ptr()) }
+    }
 }
 
 /// Whether every offset of indices `0..len` is at most `last(len)` — the
@@ -321,6 +346,124 @@ impl<AR: Offsets, AC: Offsets, BR: Offsets> KnTile<'_, '_, AR, AC, BR> {
                     _mm256_maskstore_ps(c_row.add(8 * v), mask, accv);
                 } else {
                     _mm256_storeu_ps(c_row.add(8 * v), accv);
+                }
+            }
+        }
+    }
+}
+
+/// The 16-lane body of [`kn_accumulate`]: `MR_Z × NR_Z` register tiles
+/// swept over `C`; fringe tiles keep fewer rows and mask their last
+/// vector's columns.
+///
+/// # Safety
+///
+/// As for [`kn_accumulate`], with AVX-512F in place of AVX2.
+#[target_feature(enable = "avx512f")]
+unsafe fn kn_accumulate_512<AR: Offsets, AC: Offsets, BR: Offsets>(
+    m: usize,
+    n: usize,
+    k: usize,
+    ops: &KnOperands<AR, AC, BR>,
+    c: *mut f32,
+) {
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = MR_Z.min(m - i0);
+        let mut j0 = 0;
+        while j0 < n {
+            let cols = NR_Z.min(n - j0);
+            // The last vector's lanes: `cols % 16` of them (all sixteen when
+            // `cols` is a multiple of sixteen).
+            let tail = cols - (cols - 1) / 16 * 16;
+            let t = ZmmTile {
+                k,
+                i0,
+                j0,
+                ops,
+                c: c.add(i0 * ops.ldc + j0),
+                mask: ((1u32 << tail) - 1) as __mmask16,
+            };
+            macro_rules! by_rows {
+                ($($r:literal)*) => {
+                    match (rows, cols > 16) {
+                        $(($r, true) => t.run::<$r, 2>(), ($r, false) => t.run::<$r, 1>(),)*
+                        _ => unreachable!("a tile holds 1 to {MR_Z} rows"),
+                    }
+                };
+            }
+            by_rows!(1 2 3 4 5 6 7 8);
+            j0 += NR_Z;
+        }
+        i0 += MR_Z;
+    }
+}
+
+/// One register tile of [`kn_accumulate_512`]: rows from `i0`, columns
+/// from `j0`, `c` at the tile's first element; `mask` holds the lanes of
+/// the tile's last vector.
+struct ZmmTile<'o, 'a, AR, AC, BR> {
+    k: usize,
+    i0: usize,
+    j0: usize,
+    ops: &'o KnOperands<'a, AR, AC, BR>,
+    c: *mut f32,
+    mask: __mmask16,
+}
+
+impl<AR: Offsets, AC: Offsets, BR: Offsets> ZmmTile<'_, '_, AR, AC, BR> {
+    /// `R` rows × `V` vectors of accumulators held in registers across
+    /// the whole `k` sweep; the last vector loads and stores only the
+    /// lanes of `mask` (masked-off lanes are neither read nor written).
+    ///
+    /// # Safety
+    ///
+    /// As for [`kn_accumulate_512`], for the tile's `R` rows and
+    /// `16·(V − 1) + popcount(mask)` columns.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn run<const R: usize, const V: usize>(&self) {
+        let (ops, ldc, mask) = (self.ops, self.ops.ldc, self.mask);
+        let a = ops.a.as_ptr();
+        let b = ops.b.as_ptr().add(self.j0);
+        let a_rows: [usize; R] = std::array::from_fn(|r| ops.a_rows.at(self.i0 + r));
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let c_row = self.c.add(r * ldc);
+            for (v, accv) in acc_row.iter_mut().enumerate() {
+                *accv = if v == V - 1 {
+                    _mm512_maskz_loadu_ps(mask, c_row.add(16 * v))
+                } else {
+                    _mm512_loadu_ps(c_row.add(16 * v))
+                };
+            }
+        }
+        for p in 0..self.k {
+            let b_row = b.add(ops.b_rows.at(p));
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = if v == V - 1 {
+                    _mm512_maskz_loadu_ps(mask, b_row.add(16 * v))
+                } else {
+                    _mm512_loadu_ps(b_row.add(16 * v))
+                };
+            }
+            let a_col = a.add(ops.a_cols.at(p));
+            for (acc_row, &a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = _mm512_set1_ps(*a_col.add(a_row));
+                for (accv, &bvv) in acc_row.iter_mut().zip(bv.iter()) {
+                    // Separate multiply and add, as in the 8-lane tile.
+                    *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bvv));
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let c_row = self.c.add(r * ldc);
+            for (v, &accv) in acc_row.iter().enumerate() {
+                if v == V - 1 {
+                    _mm512_mask_storeu_ps(c_row.add(16 * v), mask, accv);
+                } else {
+                    _mm512_storeu_ps(c_row.add(16 * v), accv);
                 }
             }
         }

@@ -17,8 +17,8 @@
 
 use super::{from_batch_lanes, to_batch_lanes, Layer, BATCH_LANES_MIN};
 use crate::gemm::{
-    detected_fast_backend, gemm_kn, gemm_kn_at, gemm_nt_with, transpose, transpose_rows, BiasMode,
-    GemmScratch, Im2colShape, KnOperands, Precision, Stride, StridedA,
+    gemm_kn, gemm_kn_at, gemm_nt_with, transpose, transpose_rows, BiasMode, GemmScratch, Im2colShape,
+    KnBody, KnOperands, Precision, Stride, StridedA,
 };
 use crate::init;
 use crate::tensor::Tensor;
@@ -237,7 +237,7 @@ impl Lanes {
         self.push_tap_offsets(offsets);
         self.push_pixel_offsets(0, offsets);
         let (tap_at, pixel_at) = offsets.split_at(taps);
-        let backend = detected_fast_backend();
+        let body = KnBody::detected();
         // At stride 1 a whole output row's windows are adjacent in `xb`,
         // so one product covers the row: its lanes run over `(ox, n)`.
         let run = if self.shape.stride == 1 { self.shape.out_w } else { 1 };
@@ -251,7 +251,7 @@ impl Lanes {
                 ldc: plane * n,
             };
             let bias = BiasMode::RowInit(bias);
-            gemm_kn_at(self.out_c, run * n, taps, &ops, bias, &mut out[q * n..], backend);
+            gemm_kn_at(self.out_c, run * n, taps, &ops, bias, &mut out[q * n..], body);
         }
     }
 
@@ -303,7 +303,7 @@ impl Lanes {
             b_rows: Stride(oc),
             ldc: oc,
         };
-        gemm_kn_at(taps, oc, n * plane, &ops, BiasMode::Accumulate, c, detected_fast_backend());
+        gemm_kn_at(taps, oc, n * plane, &ops, BiasMode::Accumulate, c, KnBody::detected());
         transpose(c, taps, oc, grad_weight);
     }
 
@@ -414,7 +414,7 @@ impl Lanes {
                 }
             }
         }
-        let backend = detected_fast_backend();
+        let body = KnBody::detected();
         let mut flipped_at = 0;
         for phase in phases.iter() {
             let kc = oc_n * phase.taps.len();
@@ -437,7 +437,7 @@ impl Lanes {
                     b_rows: &phase.rows[..],
                     ldc: plane,
                 };
-                gemm_kn_at(ic_n, len * n, kc, &ops, BiasMode::None, &mut dst[pixel * n..], backend);
+                gemm_kn_at(ic_n, len * n, kc, &ops, BiasMode::None, &mut dst[pixel * n..], body);
             }
             if s > 1 {
                 let (iy0, ix0) = phase.origin;
