@@ -29,7 +29,7 @@ use berry_faults::ber::VoltageBerModel;
 use berry_faults::chip::ChipProfile;
 use berry_hw::accelerator::Accelerator;
 use berry_hw::workload::NetworkWorkload;
-use berry_nn::gemm::{GemmScratch, Precision};
+use berry_nn::gemm::GemmScratch;
 use berry_nn::layer::{Conv2d, Dense, Layer};
 use berry_nn::network::InferScratch;
 use berry_nn::tensor::Tensor;
@@ -146,7 +146,6 @@ fn bench_evaluate_under_faults(c: &mut Criterion) {
         max_steps: 10,
         quant_bits: 8,
         lanes: 8,
-        precision: Precision::Reference,
     };
     const BASE_SEED: u64 = 0xBE11C4;
     const BER: f64 = 0.005;

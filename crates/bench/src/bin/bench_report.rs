@@ -12,11 +12,12 @@
 //! * **per-map latency** — wall-clock per fault map of the full
 //!   `evaluate_under_faults` protocol (C3F2, 100 maps, serial-over-maps so
 //!   the number is core-count independent);
-//! * **GEMM GFLOP/s** — the shared inference core's arithmetic throughput
-//!   on the paper's policy shapes at batch 8, measured at **both**
-//!   precision tiers (`_reference` and `_fast` key suffixes) plus the
-//!   Fast-over-Reference speedup per shape, and the lanes-8 rollout rate
-//!   at both tiers — the headline numbers of the SIMD tier;
+//! * **GEMM GFLOP/s** — the inference core's arithmetic throughput on the
+//!   paper's policy shapes at batch 8: the C3F2 conv2 and C5F4 fc1 layers'
+//!   `infer_with` (`_reference` keys), and the conv2 product alone
+//!   through `gemm_nt_with` on the Reference kernel and on the packed
+//!   Fast kernel (`_fast` keys, with the Fast-over-Reference speedup) —
+//!   the only place the Fast kernel still runs, since no layer calls it;
 //! * **training** — `Sequential::forward` / `backward` at the training
 //!   batch (32) for C3F2 and C5F4, and one C3F2 Classical update
 //!   (`DqnAgent::train_on_batch`) and one BERRY dual-pass update
@@ -68,7 +69,7 @@ use berry_core::{CampaignRow, PolicyStore, Scenario};
 use berry_faults::chip::ChipProfile;
 use berry_nn::gemm::{
     gemm_flops, gemm_kn, gemm_kn_with_backend, gemm_nt, gemm_nt_with, im2col, lanes_kernel_body,
-    BiasMode, FastBackend, GemmScratch, Im2colShape, Precision, StridedA,
+    BiasMode, FastBackend, GemmScratch, Im2colShape, PackScratch, Precision, StridedA,
 };
 use berry_nn::layer::{from_batch_lanes, to_batch_lanes, Conv2d, Dense, Flatten, Layer, Relu};
 use berry_nn::optim::{Adam, Optimizer};
@@ -91,7 +92,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 17;
+const PR: u32 = 18;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -207,47 +208,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("rollout  legacy    {legacy_rate:>10.0} env-steps/sec (PR 2 derivation)");
     let _ = writeln!(json, "    \"legacy_steps_per_sec\": {legacy_rate:.1},");
-    for (lanes, rate) in &lane_rates {
+    for (i, (lanes, rate)) in lane_rates.iter().enumerate() {
+        let comma = if i + 1 == lane_rates.len() { "" } else { "," };
         let speedup = rate / legacy_rate.max(1e-9);
         println!("rollout  lanes={lanes:<2}  speedup vs legacy: {speedup:.2}x");
-        let _ = writeln!(json, "    \"speedup_lanes{lanes}_vs_legacy\": {speedup:.2},");
-    }
-    // Lanes-8 rollout at each precision tier: same engine, same seeds,
-    // only the GEMM tier differs (the Reference number repeats the lanes-8
-    // figure above under its tier-suffixed name, so the two keys diff
-    // directly).  Each tier is self-consistent across reps; the tiers are
-    // close but not bitwise-equal to each other by design.
-    for (index, precision) in [Precision::Reference, Precision::Fast].iter().enumerate() {
-        let mut tier_scratch = InferScratch::with_precision(*precision);
-        let warm = evaluate_policy_batched(
-            &perturbed,
-            &env,
-            ROLLOUT_EPISODES,
-            ROLLOUT_MAX_STEPS,
-            8,
-            0xBE11C4,
-            &mut tier_scratch,
-        );
-        let start = Instant::now();
-        let mut steps = 0.0f64;
-        for _ in 0..5 {
-            let stats = evaluate_policy_batched(
-                &perturbed,
-                &env,
-                ROLLOUT_EPISODES,
-                ROLLOUT_MAX_STEPS,
-                8,
-                0xBE11C4,
-                &mut tier_scratch,
-            );
-            steps += stats.mean_steps * stats.episodes as f64;
-            assert_eq!(stats.mean_return.to_bits(), warm.mean_return.to_bits());
-        }
-        let rate = steps / start.elapsed().as_secs_f64();
-        let name = precision.name();
-        let comma = if index == 1 { "" } else { "," };
-        println!("rollout  lanes=8 ({name:<9}) {rate:>10.0} env-steps/sec");
-        let _ = writeln!(json, "    \"engine_steps_per_sec_lanes8_{name}\": {rate:.1}{comma}");
+        let _ = writeln!(json, "    \"speedup_lanes{lanes}_vs_legacy\": {speedup:.2}{comma}");
     }
     let _ = writeln!(json, "  }},");
 
@@ -258,7 +223,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_steps: 10,
         quant_bits: 8,
         lanes: 8,
-        precision: Precision::Reference,
     };
     let _ = evaluate_under_faults_serial(&policy, &env, &chip, BER, &cfg, 0xBE11C4)?;
     let start = Instant::now();
@@ -273,31 +237,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = writeln!(json, "    \"per_map_latency_us\": {per_map_us:.1}");
     let _ = writeln!(json, "  }},");
 
-    // --- GEMM GFLOP/s at the policy shapes (batch 8), both tiers. ---
-    // Same layers, same inputs, same scratch structure; only the
-    // precision tier of the scratch differs between the two passes of
-    // each shape, so the `_fast_speedup` ratios isolate the microkernel.
-    let mut gemm_rows: Vec<(String, f64, f64)> = Vec::new();
+    // --- GEMM GFLOP/s at the policy shapes (batch 8). ---
+    // The layers' inference path, and the conv layer's product alone on
+    // both kernels behind `gemm_nt_with`, so the `_fast_speedup` ratio
+    // isolates the packed microkernel.
+    let mut gemm_rows: Vec<(&str, f64)> = Vec::new();
     {
         let mut r = StdRng::seed_from_u64(17);
         // C3F2 conv2: 8→16, stride 2, 9×9 input → 5×5 output.
         let conv = Conv2d::new(8, 16, 3, 2, 1, &mut r);
         let x = Tensor::rand_uniform(&[8, 8, 9, 9], -1.0, 1.0, &mut r);
         let flops = 8 * 2 * conv.macs_per_sample(9, 9) as u64;
-        let tiered = |precision: Precision| {
-            let mut gemm = GemmScratch::with_precision(precision);
-            let mut out = Tensor::default();
-            time_gflops(|| conv.infer_with(&x, &mut out, &mut gemm), flops)
-        };
-        gemm_rows.push((
-            "c3f2_conv2_b8".into(),
-            tiered(Precision::Reference),
-            tiered(Precision::Fast),
-        ));
-        // The conv layer's GEMM alone (16×25×72, one sample): `infer_with`
-        // above interleaves the tier-independent im2col gather with the
-        // GEMM, which Amdahl-caps its visible tier speedup — this row
-        // isolates the kernel the tiers actually differ in.
+        let mut gemm = GemmScratch::new();
+        let mut out = Tensor::default();
+        let layer = time_gflops(|| conv.infer_with(&x, &mut out, &mut gemm), flops);
+        gemm_rows.push(("c3f2_conv2_b8_reference", layer));
+        // The conv layer's GEMM alone (16×25×72, one sample).
         let shape = Im2colShape {
             channels: 8,
             height: 9,
@@ -316,9 +271,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let bias = vec![0.1f32; 16];
         let mut cbuf = vec![0.0f32; 16 * 25];
         let flops = gemm_flops(16, 25, 72);
-        let mut tiered_gemm = |precision: Precision| {
-            let mut gemm = GemmScratch::with_precision(precision);
-            let (packs, tier) = gemm.packs_precision();
+        let mut packs = PackScratch::new();
+        let mut kernel = |precision: Precision| {
             time_gflops(
                 || {
                     gemm_nt_with(
@@ -329,41 +283,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         &col,
                         BiasMode::RowInit(&bias),
                         &mut cbuf,
-                        tier,
-                        packs,
+                        precision,
+                        &mut packs,
                     );
                 },
                 flops,
             )
         };
-        gemm_rows.push((
-            "c3f2_conv2_gemm".into(),
-            tiered_gemm(Precision::Reference),
-            tiered_gemm(Precision::Fast),
-        ));
+        let (reference, fast) = (kernel(Precision::Reference), kernel(Precision::Fast));
+        gemm_rows.push(("c3f2_conv2_gemm_reference", reference));
+        gemm_rows.push(("c3f2_conv2_gemm_fast", fast));
+        gemm_rows.push(("c3f2_conv2_gemm_fast_speedup", fast / reference.max(1e-9)));
         // C5F4 fc1: 600→128.
         let dense = Dense::new(600, 128, &mut r);
         let xd = Tensor::rand_uniform(&[8, 600], -1.0, 1.0, &mut r);
         let flops = gemm_flops(8, 128, 600);
-        let tiered = |precision: Precision| {
-            let mut gemm = GemmScratch::with_precision(precision);
-            let mut out = Tensor::default();
-            time_gflops(|| dense.infer_with(&xd, &mut out, &mut gemm), flops)
-        };
-        gemm_rows.push((
-            "c5f4_fc1_b8".into(),
-            tiered(Precision::Reference),
-            tiered(Precision::Fast),
-        ));
+        let layer = time_gflops(|| dense.infer_with(&xd, &mut out, &mut gemm), flops);
+        gemm_rows.push(("c5f4_fc1_b8_reference", layer));
     }
     let _ = writeln!(json, "  \"gemm_gflops\": {{");
-    for (i, (name, reference, fast)) in gemm_rows.iter().enumerate() {
+    for (i, (name, value)) in gemm_rows.iter().enumerate() {
         let comma = if i + 1 == gemm_rows.len() { "" } else { "," };
-        let speedup = fast / reference.max(1e-9);
-        println!("gemm     {name:<16} reference {reference:>6.2}  fast {fast:>6.2} GFLOP/s  ({speedup:.2}x)");
-        let _ = writeln!(json, "    \"{name}_reference\": {reference:.3},");
-        let _ = writeln!(json, "    \"{name}_fast\": {fast:.3},");
-        let _ = writeln!(json, "    \"{name}_fast_speedup\": {speedup:.2}{comma}");
+        println!("gemm     {name:<32} {value:>7.2}");
+        let _ = writeln!(json, "    \"{name}\": {value:.3}{comma}");
     }
     let _ = writeln!(json, "  }},");
 

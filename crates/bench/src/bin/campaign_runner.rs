@@ -13,7 +13,6 @@
 //!
 //! ```text
 //! campaign_runner [--scale smoke|quick|paper] [--seed N] [--serial]
-//!                 [--precision reference|fast]
 //!                 [--out rows.jsonl] [--summary summary.json] [--store DIR]
 //!                 [--resume] [--max-rows N]
 //!                 [--serve [--addr HOST:PORT] [--max-connections N]]
@@ -21,17 +20,14 @@
 //!
 //! Defaults: scale/seed from `BERRY_SCALE` / `BERRY_SEED` (quick / 2023),
 //! store from `BERRY_STORE` (in-memory when unset), rows to
-//! `CAMPAIGN.jsonl`, summary to `CAMPAIGN_SUMMARY.json`.  `--precision`
-//! picks the GEMM tier every evaluation runs at (default `reference`, the
-//! bitwise-pinned tier; `fast` runs the SIMD tier — see
-//! `berry_nn::gemm`).  Training is always Reference, so both tiers share
-//! one policy store.  Rows do not record the tier: resume a run with the
-//! same `--precision` it started with.  The process
-//! exits non-zero if **any** grid cell errors — a campaign with a failed
-//! cell is a failed campaign, which is what lets CI gate on it — and the
-//! summary is written on *both* paths: `"status": "ok"` with the campaign
-//! aggregates on success, `"status": "error"` with the failure and the
-//! number of completed rows otherwise (never missing, never stale).
+//! `CAMPAIGN.jsonl`, summary to `CAMPAIGN_SUMMARY.json`.  Training and
+//! evaluation both run the bit-pinned Reference GEMM kernels.  The
+//! process exits non-zero if **any** grid cell errors — a campaign with a
+//! failed cell is a failed campaign, which is what lets CI gate on it —
+//! and the summary is written on *both* paths:
+//! `"status": "ok"` with the campaign aggregates on success, `"status":
+//! "error"` with the failure and the number of completed rows otherwise
+//! (never missing, never stale).
 //!
 //! **Resume.** `--resume` parses an existing `--out` file, validates every
 //! row against the campaign plan (same grid, same seeds), and executes
@@ -62,11 +58,9 @@ use berry_bench::{
     parse_scale, print_header, print_store_stats, scale_from_env, seed_from_env, store_from_env,
 };
 use berry_core::campaign::{
-    error_summary_json, interrupted_summary_json, plan_cells,
-    run_grid_resumable_with_precision_in, run_grid_serial_with_precision_in, CampaignConfig,
-    CampaignSummary, SchedulerStats,
+    error_summary_json, interrupted_summary_json, plan_cells, run_grid_resumable_in,
+    run_grid_serial_in, CampaignConfig, CampaignSummary, SchedulerStats,
 };
-use berry_nn::gemm::Precision;
 use berry_core::experiment::format_table;
 use berry_core::rows::{load_resume_state, ResumeState};
 use berry_core::{CampaignRow, PolicyStore};
@@ -74,7 +68,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 const USAGE: &str = "usage: campaign_runner [--scale smoke|quick|paper] [--seed N] \
-                     [--serial] [--precision reference|fast] \
+                     [--serial] \
                      [--out rows.jsonl] [--summary summary.json] [--store DIR] \
                      [--resume] [--max-rows N] \
                      [--serve [--addr HOST:PORT] [--max-connections N]]";
@@ -97,7 +91,6 @@ fn parse_args() -> Result<Args, String> {
         config: CampaignConfig {
             scale: scale_from_env(),
             base_seed: seed_from_env(),
-            precision: Precision::Reference,
         },
         serial: false,
         out: "CAMPAIGN.jsonl".to_string(),
@@ -131,11 +124,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("--seed needs a u64, got `{raw}`"))?;
             }
             "--serial" => args.serial = true,
-            "--precision" => {
-                let name = value(&mut i, "--precision")?;
-                args.config.precision = Precision::parse(&name)
-                    .ok_or_else(|| format!("unknown precision `{name}` (reference|fast)"))?;
-            }
             "--out" => args.out = value(&mut i, "--out")?,
             "--summary" => args.summary = value(&mut i, "--summary")?,
             "--store" => args.store_dir = Some(value(&mut i, "--store")?),
@@ -260,13 +248,7 @@ fn run(
     if args.serial {
         // The serial reference path (one cell at a time, no fan-out);
         // rows are written once the reference run completes.
-        let rows = run_grid_serial_with_precision_in(
-            &grid,
-            args.config.scale,
-            args.config.base_seed,
-            store,
-            args.config.precision,
-        )?;
+        let rows = run_grid_serial_in(&grid, args.config.scale, args.config.base_seed, store)?;
         for row in &rows {
             writer.write_fresh(row)?;
             *fresh_rows += 1;
@@ -282,13 +264,12 @@ fn run(
     // remaining cells instead of burning their compute.
     writer.drain_resumed()?;
     let completed = resumed.completed();
-    let (fresh, stats) = run_grid_resumable_with_precision_in(
+    let (fresh, stats) = run_grid_resumable_in(
         &grid,
         args.config.scale,
         args.config.base_seed,
         store,
         &[],
-        args.config.precision,
         &completed,
         &|_| {},
         |_, row| {
@@ -347,11 +328,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let grid = args.config.grid();
     println!(
-        "grid:  {} scenarios, base seed {}, {} execution, {} precision",
+        "grid:  {} scenarios, base seed {}, {} execution",
         grid.len(),
         args.config.base_seed,
         if args.serial { "serial" } else { "sharded" },
-        args.config.precision.name(),
     );
 
     // An existing artifact is only read under --resume; every row is
@@ -437,8 +417,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let elapsed = start.elapsed().as_secs_f64();
 
     let summary = CampaignSummary::from_rows(&outcome.rows)
-        .with_scheduler(outcome.stats.clone())
-        .with_precision(args.config.precision);
+        .with_scheduler(outcome.stats.clone());
     std::fs::write(&args.summary, summary.to_json())?;
 
     // Human-readable digest: one line per cell.

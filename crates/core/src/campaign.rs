@@ -44,7 +44,6 @@ use crate::store::{PairRequest, PolicyStore, TrainedPair};
 use crate::Result;
 use berry_faults::chip::ChipProfile;
 use berry_hw::accelerator::{Accelerator, ProcessingReport};
-use berry_nn::gemm::Precision;
 use berry_nn::network::Sequential;
 use berry_rl::eval::EvalStats;
 use berry_uav::env::{NavigationConfig, NavigationEnv};
@@ -75,31 +74,16 @@ pub struct CampaignConfig {
     pub scale: ExperimentScale,
     /// Base seed every per-scenario stream is derived from.
     pub base_seed: u64,
-    /// GEMM precision tier every evaluation in this campaign runs at.
-    ///
-    /// This is an **evaluation-side** knob: training inside the policy
-    /// store always runs the Reference tier, so the training fingerprint
-    /// (and therefore cache hits and stored weights) is identical for
-    /// campaigns run at either tier.
-    pub precision: Precision,
 }
 
 impl CampaignConfig {
     /// A campaign at the given scale with the default base seed (2023, the
-    /// paper's year) and the bitwise-pinned Reference precision tier.
+    /// paper's year).
     pub fn at_scale(scale: ExperimentScale) -> Self {
         Self {
             scale,
             base_seed: 2023,
-            precision: Precision::Reference,
         }
-    }
-
-    /// The same campaign evaluated at the given GEMM precision tier.
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// The CI micro-campaign: smoke grid, smoke training, default seed.
@@ -423,11 +407,6 @@ pub struct CampaignSummary {
     /// summaries of the same campaign means filtering that one line
     /// (`grep -v '"scheduler"'`), which is exactly what CI does.
     pub scheduler: Option<SchedulerStats>,
-    /// GEMM precision tier the campaign's evaluations ran at — reported so
-    /// a summary artifact always says which tier produced its numbers.
-    /// Folding from rows alone defaults to Reference; runs that evaluated
-    /// at another tier attach it via [`Self::with_precision`].
-    pub precision: Precision,
 }
 
 impl CampaignSummary {
@@ -467,15 +446,7 @@ impl CampaignSummary {
             best_cell: best.id.clone(),
             worst_cell: worst.id.clone(),
             scheduler: None,
-            precision: Precision::Reference,
         }
-    }
-
-    /// Attaches the GEMM precision tier the run evaluated at.
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Attaches the scheduler/resume telemetry of the run that produced
@@ -496,12 +467,11 @@ impl CampaignSummary {
             None => String::new(),
         };
         format!(
-            "{{\n  \"status\": \"ok\",\n  \"precision\": {},\n  \
+            "{{\n  \"status\": \"ok\",\n  \
              \"scenarios\": {},\n  \"episodes\": {},\n  \
              \"mean_classical_success\": {},\n  \"mean_berry_success\": {},\n  \
              \"berry_wins_or_ties\": {},\n  \"mean_energy_savings\": {},\n\
              {}  \"best_cell\": {},\n  \"worst_cell\": {}\n}}\n",
-            json_string(self.precision.name()),
             self.scenarios,
             self.episodes,
             json_f64(self.mean_classical_success),
@@ -721,7 +691,6 @@ pub fn run_scenario(
         seed,
         &PolicyStore::in_memory(),
         &[],
-        Precision::Reference,
     )
 }
 
@@ -738,15 +707,10 @@ pub fn run_scenario(
 /// cold, warm in memory or warm on disk, and whether the cell ran serial
 /// or sharded.
 ///
-/// Evaluations run at the requested GEMM `precision` tier; training inside
-/// the store always runs the Reference tier, so the cached pair is shared
-/// across tiers.
-///
 /// # Errors
 ///
 /// Returns an error if the scenario names cannot be resolved, or training
 /// or evaluation fails.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_in(
     scenario: &Scenario,
     index: usize,
@@ -755,17 +719,8 @@ pub fn run_scenario_in(
     train_base_seed: u64,
     store: &PolicyStore,
     axes: &[EvalAxis],
-    precision: Precision,
 ) -> Result<CampaignRow> {
-    let cell = prepare_cell(
-        scenario,
-        scale,
-        cell_seed,
-        train_base_seed,
-        store,
-        axes.len(),
-        precision,
-    )?;
+    let cell = prepare_cell(scenario, scale, cell_seed, train_base_seed, store, axes.len())?;
 
     // Deployment evaluation: fault-averaged navigation for both policies,
     // then the mission-level chain for BERRY through the scenario's
@@ -827,7 +782,6 @@ struct PreparedCell {
     context: MissionContext,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn prepare_cell(
     scenario: &Scenario,
     scale: ExperimentScale,
@@ -835,7 +789,6 @@ fn prepare_cell(
     train_base_seed: u64,
     store: &PolicyStore,
     axis_count: usize,
-    precision: Precision,
 ) -> Result<PreparedCell> {
     // Draw every evaluation seed before any work, in a fixed order: the
     // seeds cannot depend on whether training was cached — and the two
@@ -855,8 +808,7 @@ fn prepare_cell(
     let request = pair_request_for(scenario, scale, train_base_seed)?;
     let pair = store.get_or_train(&request)?;
 
-    let mut eval_cfg = scale.evaluation_config();
-    eval_cfg.precision = precision;
+    let eval_cfg = scale.evaluation_config();
     let env_config = NavigationConfig {
         variant: scenario.variant,
         ..scale.navigation_config(scenario.density)
@@ -974,36 +926,12 @@ pub fn run_axes_grid_in(
     store: &PolicyStore,
     axes: &[EvalAxis],
 ) -> Result<Vec<AxisCell>> {
-    run_axes_grid_with_precision_in(grid, scale, base_seed, store, axes, Precision::Reference)
-}
-
-/// [`run_axes_grid_in`] at an explicit GEMM precision tier.
-///
-/// # Errors
-///
-/// Returns the first (in grid order) cell error.
-pub fn run_axes_grid_with_precision_in(
-    grid: &[Scenario],
-    scale: ExperimentScale,
-    base_seed: u64,
-    store: &PolicyStore,
-    axes: &[EvalAxis],
-    precision: Precision,
-) -> Result<Vec<AxisCell>> {
     grid.iter()
         .enumerate()
         .map(|(index, scenario)| {
             let cell_seed = scenario_seed(base_seed, index as u64);
-            let cell = prepare_cell(
-                scenario,
-                scale,
-                cell_seed,
-                base_seed,
-                store,
-                axes.len(),
-                precision,
-            )
-            .map_err(|e| tag_cell_error(scenario, e))?;
+            let cell = prepare_cell(scenario, scale, cell_seed, base_seed, store, axes.len())
+                .map_err(|e| tag_cell_error(scenario, e))?;
             let axis_results = cell
                 .run_axes(scenario, axes)
                 .map_err(|e| tag_cell_error(scenario, e))?;
@@ -1139,13 +1067,12 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<Vec<CampaignRow>> {
 ///
 /// Returns the first (in grid order) cell error.
 pub fn run_campaign_in(config: &CampaignConfig, store: &PolicyStore) -> Result<Vec<CampaignRow>> {
-    let (rows, _) = run_grid_resumable_with_precision_in(
+    let (rows, _) = run_grid_resumable_in(
         &config.grid(),
         config.scale,
         config.base_seed,
         store,
         &[],
-        config.precision,
         &CompletedSet::empty(),
         &|_| {},
         |_, _| Ok(()),
@@ -1161,12 +1088,11 @@ pub fn run_campaign_in(config: &CampaignConfig, store: &PolicyStore) -> Result<V
 ///
 /// Returns the first cell error.
 pub fn run_campaign_serial(config: &CampaignConfig) -> Result<Vec<CampaignRow>> {
-    run_grid_serial_with_precision_in(
+    run_grid_serial_in(
         &config.grid(),
         config.scale,
         config.base_seed,
         &PolicyStore::in_memory(),
-        config.precision,
     )
 }
 
@@ -1275,43 +1201,6 @@ pub fn run_grid_resumable_in(
     axes: &[EvalAxis],
     completed: &CompletedSet,
     pre_cell: &(impl Fn(usize) + Sync),
-    sink: impl FnMut(usize, &CampaignRow) -> Result<()>,
-) -> Result<(Vec<CampaignRow>, SchedulerStats)> {
-    run_grid_resumable_with_precision_in(
-        grid,
-        scale,
-        base_seed,
-        store,
-        axes,
-        Precision::Reference,
-        completed,
-        pre_cell,
-        sink,
-    )
-}
-
-/// [`run_grid_resumable_in`] at an explicit GEMM precision tier.
-///
-/// The tier applies to every cell's evaluations; seeds, training and the
-/// resume protocol are unaffected.  Rows do **not** record the tier, so a
-/// resumed run must use the same precision as the run that wrote the
-/// partial rows — the runner enforces this by deriving both from the same
-/// flag.
-///
-/// # Errors
-///
-/// Returns the first (in grid order) cell error, or the first error the
-/// sink reports; either cancels the cells still in flight.
-#[allow(clippy::too_many_arguments)]
-pub fn run_grid_resumable_with_precision_in(
-    grid: &[Scenario],
-    scale: ExperimentScale,
-    base_seed: u64,
-    store: &PolicyStore,
-    axes: &[EvalAxis],
-    precision: Precision,
-    completed: &CompletedSet,
-    pre_cell: &(impl Fn(usize) + Sync),
     mut sink: impl FnMut(usize, &CampaignRow) -> Result<()>,
 ) -> Result<(Vec<CampaignRow>, SchedulerStats)> {
     let pending: Vec<CellPlan> = plan_cells(grid, base_seed)
@@ -1335,7 +1224,6 @@ pub fn run_grid_resumable_with_precision_in(
                 base_seed,
                 store,
                 axes,
-                precision,
             )
             .map_err(|e| tag_cell_error(&cell.scenario, e))
         })
@@ -1373,21 +1261,6 @@ pub fn run_grid_serial_in(
     base_seed: u64,
     store: &PolicyStore,
 ) -> Result<Vec<CampaignRow>> {
-    run_grid_serial_with_precision_in(grid, scale, base_seed, store, Precision::Reference)
-}
-
-/// [`run_grid_serial_in`] at an explicit GEMM precision tier.
-///
-/// # Errors
-///
-/// Returns the first cell error.
-pub fn run_grid_serial_with_precision_in(
-    grid: &[Scenario],
-    scale: ExperimentScale,
-    base_seed: u64,
-    store: &PolicyStore,
-    precision: Precision,
-) -> Result<Vec<CampaignRow>> {
     grid.iter()
         .enumerate()
         .map(|(index, scenario)| {
@@ -1399,7 +1272,6 @@ pub fn run_grid_serial_with_precision_in(
                 base_seed,
                 store,
                 &[],
-                precision,
             )
             .map_err(|e| tag_cell_error(scenario, e))
         })
@@ -1654,17 +1526,7 @@ mod tests {
         ];
         let store = PolicyStore::in_memory();
         let with_axes =
-            run_scenario_in(
-            scenario,
-            0,
-            ExperimentScale::Smoke,
-            21,
-            21,
-            &store,
-            &axes,
-            Precision::Reference,
-        )
-        .unwrap();
+            run_scenario_in(scenario, 0, ExperimentScale::Smoke, 21, 21, &store, &axes).unwrap();
         let plain = run_scenario(scenario, 0, ExperimentScale::Smoke, 21).unwrap();
         // One training for base row + four axes.
         assert_eq!(store.stats().trained, 1);
@@ -1702,7 +1564,6 @@ mod tests {
                 21,
                 &store,
                 &bad,
-                Precision::Reference,
             )
             .is_err()
         );

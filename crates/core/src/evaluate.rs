@@ -16,7 +16,6 @@ use crate::Result;
 use berry_faults::chip::ChipProfile;
 use berry_hw::accelerator::{Accelerator, ProcessingReport};
 use berry_hw::workload::NetworkWorkload;
-use berry_nn::gemm::Precision;
 use berry_nn::network::Sequential;
 use berry_rl::env::Environment;
 use berry_rl::eval::{evaluate_policy_batched, evaluate_policy_seeded_serial, EvalStats};
@@ -43,13 +42,6 @@ pub struct FaultEvaluationConfig {
     /// (capped at the episode count; the statistics are bitwise identical
     /// for any value, so this is purely a throughput knob).
     pub lanes: usize,
-    /// GEMM precision tier every policy inference in this evaluation runs
-    /// at.  `Reference` (the default) reproduces all historical golden
-    /// bits; `Fast` routes through the SIMD microkernels.  Purely an
-    /// *evaluation-side* knob: it is deliberately not part of the training
-    /// fingerprint, so the PolicyStore stays tier-agnostic and both tiers
-    /// evaluate the very same stored policies.
-    pub precision: Precision,
 }
 
 impl Default for FaultEvaluationConfig {
@@ -60,7 +52,6 @@ impl Default for FaultEvaluationConfig {
             max_steps: 60,
             quant_bits: 8,
             lanes: 8,
-            precision: Precision::Reference,
         }
     }
 }
@@ -160,7 +151,6 @@ where
     context.perturb_map_into(&map, &mut scratch)?;
     let episodes = config.fault_maps * config.episodes_per_map;
     let (network, infer) = scratch.network_and_infer();
-    infer.set_precision(config.precision);
     let stats = evaluate_policy_batched(
         network,
         env,
@@ -274,7 +264,6 @@ pub fn evaluate_under_faults_serial<E: Environment + Clone>(
             let mut scratch = context.checkout();
             context.perturb_map_into(&map, &mut scratch)?;
             let (network, infer) = scratch.network_and_infer();
-            infer.set_precision(config.precision);
             let stats = evaluate_policy_seeded_serial(
                 network,
                 env,
@@ -313,7 +302,6 @@ fn evaluate_one_fault_map<E: Environment + Clone>(
     let mut scratch = context.checkout();
     context.perturb_map_into(&map, &mut scratch)?;
     let (network, infer) = scratch.network_and_infer();
-    infer.set_precision(config.precision);
     let stats = evaluate_policy_batched(
         network,
         env,
@@ -335,28 +323,6 @@ fn merge_in_order(per_map: Vec<Result<EvalStats>>) -> Result<EvalStats> {
         combined = combined.merge(&stats?);
     }
     Ok(combined)
-}
-
-/// Evaluates a policy at an operating voltage on a given chip (the BER is
-/// read off the chip's voltage curve).
-///
-/// # Errors
-///
-/// Returns an error for out-of-range voltages or invalid configurations.
-pub fn evaluate_at_voltage<E, R>(
-    policy: &Sequential,
-    env: &E,
-    chip: &ChipProfile,
-    voltage_norm: f64,
-    config: &FaultEvaluationConfig,
-    rng: &mut R,
-) -> Result<EvalStats>
-where
-    E: Environment + Clone + Sync,
-    R: Rng,
-{
-    let ber = chip.ber_at_voltage(voltage_norm)?;
-    evaluate_under_faults(policy, env, chip, ber, config, rng)
 }
 
 /// Everything the mission-level tables report about one operating point.
@@ -621,19 +587,6 @@ mod tests {
         );
         assert!(high.success_rate < 1.0);
         assert_eq!(low.episodes, 30);
-    }
-
-    #[test]
-    fn evaluate_at_voltage_uses_the_chip_curve() {
-        let policy = aligned_policy(20);
-        let env = ArgmaxEnv;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let cfg = FaultEvaluationConfig::smoke_test();
-        let chip = ChipProfile::generic();
-        // At Vmin there are no bit errors, so this equals error-free deployment.
-        let stats = evaluate_at_voltage(&policy, &env, &chip, 1.0, &cfg, &mut rng).unwrap();
-        assert_eq!(stats.success_rate, 1.0);
-        assert!(evaluate_at_voltage(&policy, &env, &chip, 3.0, &cfg, &mut rng).is_err());
     }
 
     #[test]

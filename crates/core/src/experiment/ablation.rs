@@ -98,12 +98,13 @@ fn train_perturbed_only<E: Environment, R: Rng>(
     let num_actions = agent.num_actions();
     let gamma = agent.config().gamma;
     let mut target_scratch = InferScratch::new();
+    let mut act_scratch = InferScratch::new();
 
     for _ in 0..config.trainer.episodes {
         let mut obs = env.reset(rng);
         for _ in 0..config.trainer.max_steps_per_episode {
             let epsilon = config.trainer.epsilon.value(env_steps);
-            let action = agent.act_epsilon(&obs, epsilon, rng);
+            let action = agent.act_epsilon(&obs, epsilon, rng, &mut act_scratch);
             let outcome = env.step(action, rng);
             let terminal = outcome.is_terminal();
             buffer.push(Transition {

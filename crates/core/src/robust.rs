@@ -397,7 +397,7 @@ fn run_berry_loop<E: Environment, R: Rng>(
         let mut success = false;
         for _ in 0..config.trainer.max_steps_per_episode {
             let epsilon = config.trainer.epsilon.value(env_steps);
-            let action = agent.act_epsilon_with_scratch(&obs, epsilon, rng, &mut infer_scratch);
+            let action = agent.act_epsilon(&obs, epsilon, rng, &mut infer_scratch);
             let outcome = env.step(action, rng);
             episode_return += outcome.reward;
             buffer.push(Transition {
@@ -537,8 +537,9 @@ mod tests {
         let mut eval_env = corridor(4);
         let mut obs = eval_env.reset(&mut rng);
         let mut reached = false;
+        let mut scratch = berry_nn::network::InferScratch::new();
         for _ in 0..10 {
-            let action = agent.act_greedy(&obs);
+            let action = agent.act_greedy(&obs, &mut scratch);
             let o = eval_env.step(action, &mut rng);
             obs = o.observation;
             if let Some(t) = o.terminal {

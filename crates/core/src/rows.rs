@@ -802,7 +802,6 @@ mod tests {
             5,
             &PolicyStore::in_memory(),
             &[],
-            berry_nn::gemm::Precision::Reference,
         )
         .unwrap()
     }

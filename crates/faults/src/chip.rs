@@ -263,5 +263,8 @@ mod tests {
         let chip = ChipProfile::generic();
         let direct = chip.ber_model().ber_fraction(0.77).unwrap();
         assert_eq!(chip.ber_at_voltage(0.77).unwrap(), direct);
+        // Outside the curve's supported range the chip reports an error.
+        assert!(chip.ber_at_voltage(3.0).is_err());
+        assert!(chip.ber_at_voltage(0.1).is_err());
     }
 }

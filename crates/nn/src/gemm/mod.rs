@@ -6,7 +6,7 @@
 //!
 //! * [`gemm_nt`] — a register-tiled scalar `C = A · Bᵀ` over row-major
 //!   operands whose rows share the contraction dimension (dense forward
-//!   at small batches, the Fast tier's entry point);
+//!   below batch 8);
 //! * [`gemm_kn`] — `C = A · B` with `B` stored k-major (`[k][n]`) and a
 //!   strided `A`, vectorized with SIMD lanes across *output columns*
 //!   (the convolution's forward, dW and dX — whose batch-lane passes
@@ -45,7 +45,7 @@
 //! IEEE-754 round-to-nearest addition never turns such a sum into `-0.0`,
 //! including the terms is bitwise equivalent to skipping them.
 //!
-//! # Precision tiers
+//! # One inference tier, and the Fast kernel
 //!
 //! The contract above — one strictly ascending accumulation chain per
 //! output element — rules out the usual ways a kernel goes fast *along*
@@ -53,29 +53,25 @@
 //! reassociate its sum, and FMA skips an intermediate rounding.  SIMD
 //! lanes *across* output elements keep every chain intact — that is
 //! [`gemm_kn`] — but they need many independent outputs and the k-major
-//! operand layout.  A kernel that vectorizes over `k` *cannot* be
-//! bitwise-identical to the reference, so rather than silently trade bits
-//! for speed, the crate names the trade:
+//! operand layout.
 //!
-//! * [`Precision::Reference`] (the default) — the k-ascending separate
-//!   mul+add kernels above.  Bitwise identical to every scalar layer
-//!   reference and to all historical golden pins.
-//! * [`Precision::Fast`] — packed, cache-blocked microkernels
-//!   ([`fast`]) built on an **eight-lane mod-8 accumulation spec** with
-//!   fused multiply-adds and a fixed reduction tree.  The spec is defined
-//!   arithmetically, not by an instruction set, and every backend
-//!   (AVX2+FMA, NEON, and the scalar `f32::mul_add` fallback) implements
-//!   it exactly — so Fast-tier results are *themselves* deterministic and
-//!   bitwise-reproducible across machines, just along a different (and
-//!   more accurate) rounding path than Reference.
+//! Training, inference and evaluation all run these bit-pinned kernels;
+//! there is no tier to choose above this module.  The packed Fast kernel
+//! ([`fast`]: cache-blocked microkernels on an **eight-lane mod-8
+//! accumulation spec** with fused multiply-adds and a fixed reduction
+//! tree, which every backend — AVX2+FMA, NEON and the scalar
+//! `f32::mul_add` fallback — implements bit for bit) remains only as a
+//! GEMM function: [`gemm_nt_with`] at [`Precision::Fast`] and
+//! [`gemm_nt_fast_with_backend`], which the benchmark's
+//! `nn.gemm.gflops.fast` probe and `bench_report` time.  No layer calls
+//! it.
 //!
-//! Tier selection is carried by [`GemmScratch`] (and therefore by
-//! `InferScratch`), defaulting to `Reference` everywhere; the instruction
-//! set is picked once per process by [`detected_fast_backend`] for both
-//! tiers (AVX2 runs the Fast microkernels, and the [`gemm_kn`] lanes
-//! kernel runs its AVX-512 body where the CPU has `avx512f` and its AVX2
-//! body elsewhere — see [`lanes_kernel_body`]), and
-//! `BERRY_GEMM_FORCE_SCALAR=1` pins both to their portable fallbacks.
+//! The instruction set is picked once per process by
+//! [`detected_fast_backend`]: the [`gemm_kn`] lanes kernel runs its
+//! AVX-512 body where the CPU has `avx512f`, its AVX2 body elsewhere on
+//! x86_64, and its portable body on every other target, aarch64 included
+//! (see [`lanes_kernel_body`]); `BERRY_GEMM_FORCE_SCALAR=1` pins both
+//! kernels to their portable fallbacks.
 
 // lint: pinned-path — reductions here feed golden-pinned statistics; use berry_nn::reduce helpers
 
@@ -91,7 +87,6 @@ mod transpose;
 pub(crate) use kn::{gemm_kn_at, KnBody, KnOperands, Stride};
 pub(crate) use transpose::{transpose, transpose_rows};
 pub use kn::{gemm_kn, gemm_kn_with_backend, lanes_kernel_body, StridedA};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Rows of `A` (output rows) processed per register tile.
@@ -197,9 +192,9 @@ pub(crate) fn check_gemm_shapes(m: usize, n: usize, k: usize, a: &[f32], b: &[f3
     );
 }
 
-/// Which accumulation semantics a GEMM call uses — see the
-/// [module docs](self) for the full contract of each tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// Which kernel a [`gemm_nt_with`] call runs — see the [module
+/// docs](self) for the contract of each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// k-ascending separate mul+add; bitwise identical to the scalar layer
     /// references and to every historical golden pin.  The default.
@@ -443,8 +438,8 @@ pub fn gemm_nt_reference(
     }
 }
 
-/// Reusable zero-padded operand panels for the Fast tier's packed
-/// microkernels.  Owned by [`GemmScratch`]; a `Reference`-tier call never
+/// Reusable zero-padded operand panels for the Fast kernel's packed
+/// microkernels, passed to [`gemm_nt_with`]; a `Reference` call never
 /// touches (or grows) these buffers.
 #[derive(Debug, Clone, Default)]
 pub struct PackScratch {
@@ -477,45 +472,21 @@ impl PackScratch {
 /// One `GemmScratch` lives inside every
 /// [`crate::network::InferScratch`], so the whole lockstep rollout hot
 /// path — im2col patch matrices included — stops allocating once the
-/// buffers reach steady-state capacity.  The scratch also carries the
-/// [`Precision`] tier every layer routed through it uses, so tier choice
-/// travels with the inference state instead of with the (tier-agnostic)
-/// network weights.
+/// buffers reach steady-state capacity.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     col: Vec<f32>,
     /// Zero-bordered copy of the plane being unrolled (see
-    /// [`GemmScratch::im2col_packs_precision`]).
+    /// [`GemmScratch::im2col_transposed`]).
     padded: Vec<f32>,
     /// A transposed GEMM output (see [`GemmScratch::transpose_buffers`]).
     out_t: Vec<f32>,
-    packs: PackScratch,
-    precision: Precision,
 }
 
 impl GemmScratch {
-    /// Creates an empty scratch at the default [`Precision::Reference`];
-    /// buffers grow on first use.
+    /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty scratch pinned to the given precision tier.
-    pub fn with_precision(precision: Precision) -> Self {
-        Self {
-            precision,
-            ..Self::default()
-        }
-    }
-
-    /// The precision tier layers routed through this scratch will use.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Switches the precision tier; buffers are retained.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
     }
 
     /// The im2col patch buffer, resized to at least `len` elements.
@@ -528,40 +499,13 @@ impl GemmScratch {
         &mut self.col[..len]
     }
 
-    /// Unrolls one sample's `[c, h, w]` plane into the scratch's patch
-    /// buffer and returns the patch matrix with the packing panels and the
-    /// tier — what the convolution hands to [`gemm_nt_with`].
-    ///
-    /// The patch matrix is bitwise [`im2col`]'s.  The plane is first copied
-    /// into a zero-bordered buffer, so every tap is in bounds and each
-    /// `(ic, kh)` run of a patch row is one `kernel`-long copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`im2col`].
-    pub fn im2col_packs_precision(
-        &mut self,
-        input: &[f32],
-        shape: &Im2colShape,
-    ) -> (&[f32], &mut PackScratch, Precision) {
-        let len = self.pad_plane(input, shape);
-        let col = &mut self.col[..len];
-        // The policy networks' kernels are all 3×3: a constant length
-        // lets every run compile to plain moves.
-        match shape.kernel {
-            3 => im2col_from_padded(&self.padded, shape, 3, col),
-            kernel => im2col_from_padded(&self.padded, shape, kernel, col),
-        }
-        (col, &mut self.packs, self.precision)
-    }
-
     /// [`im2col`]'s transpose into the scratch's patch buffer: the
     /// `[taps][pixels]` matrix
     /// `col_t[(ic·kernel + kh)·kernel + kw][oy·out_w + ox] = input[ic][iy][ix]`
     /// (`+0.0` in padding cells) — the k-major operand of the
     /// convolution's Reference forward, which runs [`gemm_kn`] with lanes
-    /// across pixels.  Built from the same zero-bordered plane as
-    /// [`GemmScratch::im2col_packs_precision`].
+    /// across pixels.  The plane is first copied into a zero-bordered
+    /// buffer, so every tap is in bounds.
     ///
     /// # Panics
     ///
@@ -625,12 +569,6 @@ impl GemmScratch {
             self.out_t.resize(out_len, 0.0);
         }
         (&mut self.col[..in_len], &mut self.out_t[..out_len])
-    }
-
-    /// The packing panels and tier without the patch buffer — what the
-    /// dense path (no im2col) hands to [`gemm_nt_with`].
-    pub fn packs_precision(&mut self) -> (&mut PackScratch, Precision) {
-        (&mut self.packs, self.precision)
     }
 }
 
@@ -798,27 +736,6 @@ pub fn im2col(input: &[f32], shape: &Im2colShape, col: &mut [f32]) {
                         tap += 1;
                     }
                 }
-            }
-        }
-    }
-}
-
-/// [`im2col`] from a zero-bordered `[c, h + 2p, w + 2p]` plane, where
-/// every tap is in bounds.
-#[inline(always)]
-fn im2col_from_padded(padded: &[f32], shape: &Im2colShape, kernel: usize, col: &mut [f32]) {
-    let (ph, pw) = (
-        shape.height + 2 * shape.padding,
-        shape.width + 2 * shape.padding,
-    );
-    let stride = shape.stride;
-    let rows = col.chunks_exact_mut(shape.cols());
-    for (p, row) in rows.enumerate() {
-        let (oy, ox) = (p / shape.out_w, p % shape.out_w);
-        for (ic, taps) in row.chunks_exact_mut(kernel * kernel).enumerate() {
-            let corner = ic * ph * pw + oy * stride * pw + ox * stride;
-            for (kh, run) in taps.chunks_exact_mut(kernel).enumerate() {
-                run.copy_from_slice(&padded[corner + kh * pw..corner + kh * pw + kernel]);
             }
         }
     }
@@ -1210,10 +1127,6 @@ mod tests {
             let mut scratch = GemmScratch::new();
             // Stale contents from a larger shape must not leak through.
             scratch.col_buffer(4 * rows * cols + 64).fill(f32::NAN);
-            let (padded_col, _, _) = scratch.im2col_packs_precision(&input, &shape);
-            let padded_bits: Vec<u32> = padded_col.iter().map(|v| v.to_bits()).collect();
-            let col_bits: Vec<u32> = col.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(padded_bits, col_bits, "{shape:?}: zero-bordered im2col");
             let col_t = scratch.im2col_transposed(&input, &shape);
             for pix in 0..rows {
                 for tap in 0..cols {
@@ -1422,29 +1335,6 @@ mod tests {
             c_direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             c_with.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn scratch_carries_precision_and_splits_borrows() {
-        let mut scratch = GemmScratch::new();
-        assert_eq!(scratch.precision(), Precision::Reference);
-        scratch.set_precision(Precision::Fast);
-        assert_eq!(scratch.precision(), Precision::Fast);
-        let shape = Im2colShape {
-            channels: 1,
-            height: 3,
-            width: 4,
-            kernel: 1,
-            stride: 1,
-            padding: 0,
-            out_h: 3,
-            out_w: 4,
-        };
-        let (col, _packs, precision) = scratch.im2col_packs_precision(&[0.5; 12], &shape);
-        assert_eq!(col.len(), 12);
-        assert_eq!(precision, Precision::Fast);
-        let fast = GemmScratch::with_precision(Precision::Fast);
-        assert_eq!(fast.precision(), Precision::Fast);
     }
 
     #[test]

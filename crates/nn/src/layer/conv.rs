@@ -1,4 +1,4 @@
-//! 2-D convolution layer on the Reference tier's lanes kernel.
+//! 2-D convolution layer on the Reference lanes kernel.
 //!
 //! The layer's one training implementation runs in the batch-lane layout
 //! (see the [`super`] module docs), with SIMD lanes across the **batch**.
@@ -12,13 +12,12 @@
 //! those routines.  The batch-outer `infer`/`infer_with` (action
 //! selection, the lockstep rollout lanes — a `Sequential` pass of
 //! [`BATCH_LANES_MIN`] samples or more runs `infer_lanes` instead) unroll
-//! each sample's patches and run lanes across output pixels; the Fast
-//! tier keeps its packed kernels.
+//! each sample's patches and run lanes across output pixels.
 
 use super::{from_batch_lanes, to_batch_lanes, Layer, BATCH_LANES_MIN};
 use crate::gemm::{
-    gemm_kn, gemm_kn_at, gemm_nt_with, transpose, transpose_rows, BiasMode, GemmScratch, Im2colShape,
-    KnBody, KnOperands, Precision, Stride, StridedA,
+    gemm_kn, gemm_kn_at, transpose, transpose_rows, BiasMode, GemmScratch, Im2colShape, KnBody,
+    KnOperands, Stride, StridedA,
 };
 use crate::init;
 use crate::tensor::Tensor;
@@ -29,8 +28,7 @@ use std::cell::RefCell;
 /// Weights have shape `[out_channels, in_channels, kernel, kernel]` and the
 /// bias `[out_channels]`.  Every pass — training `forward`, `backward` and
 /// the immutable `infer`/`infer_with` — runs on the [`gemm_kn`] lanes
-/// kernel at the Reference tier (the inference path follows its scratch's
-/// tier), and each output and gradient element accumulates its terms in
+/// kernel, and each output and gradient element accumulates its terms in
 /// the order of the direct six-loop convolution, so the bits equal that
 /// kernel's (see [`Conv2d::backward`](Layer::backward) and DESIGN.md
 /// "Training on the GEMM core").
@@ -94,7 +92,7 @@ struct PassScratch {
     /// Inference: the input's bordered batch-lane copy.
     xb: Vec<f32>,
     /// Training forward below [`BATCH_LANES_MIN`]: the per-sample path's
-    /// patch buffers, at the Reference tier.
+    /// patch buffers.
     gemm: GemmScratch,
 }
 
@@ -675,14 +673,12 @@ impl Layer for Conv2d {
 
         // Per sample, im2col + GEMM: out[n][oc][p] = bias[oc] +
         // w_row(oc)·col_row(p).  Patch columns follow the (ic, kh, kw) tap
-        // order.  At the Reference tier the GEMM accumulates them
-        // ascending (lanes across the output pixels of the transposed
-        // patch matrix), so every output element replays the direct
-        // convolution's floating-point sequence exactly (padding cells
-        // contribute ±0.0 products, which never change an accumulator that
-        // is not −0.0 — see the gemm module docs); the Fast tier follows
-        // the scratch's precision setting and trades that bitwise identity
-        // for its own spec.
+        // order.  The GEMM accumulates them ascending (lanes across the
+        // output pixels of the transposed patch matrix), so every output
+        // element replays the direct convolution's floating-point
+        // sequence exactly (padding cells contribute ±0.0 products, which
+        // never change an accumulator that is not −0.0 — see the gemm
+        // module docs).
         let shape = lanes.shape;
         let (rows, taps) = (shape.rows(), shape.cols());
         let in_plane = shape.channels * shape.height * shape.width;
@@ -692,25 +688,10 @@ impl Layer for Conv2d {
             let plane = &in_data[n * in_plane..(n + 1) * in_plane];
             let out_block =
                 &mut out_data[n * self.out_channels * rows..(n + 1) * self.out_channels * rows];
+            let col_t = gemm.im2col_transposed(plane, &shape);
+            let weights = StridedA::row_major(w_data, taps);
             let bias = BiasMode::RowInit(bias);
-            if gemm.precision() == Precision::Reference {
-                let col_t = gemm.im2col_transposed(plane, &shape);
-                let weights = StridedA::row_major(w_data, taps);
-                gemm_kn(self.out_channels, rows, taps, weights, col_t, bias, out_block);
-            } else {
-                let (col, packs, precision) = gemm.im2col_packs_precision(plane, &shape);
-                gemm_nt_with(
-                    self.out_channels,
-                    rows,
-                    taps,
-                    w_data,
-                    col,
-                    bias,
-                    out_block,
-                    precision,
-                    packs,
-                );
-            }
+            gemm_kn(self.out_channels, rows, taps, weights, col_t, bias, out_block);
         }
     }
 

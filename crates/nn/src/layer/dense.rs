@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use super::{from_batch_lanes, to_batch_lanes, Layer};
-use crate::gemm::{gemm_kn, gemm_nt_with, transpose, BiasMode, GemmScratch, Precision, StridedA};
+use crate::gemm::{gemm_kn, gemm_nt, transpose, BiasMode, GemmScratch, StridedA};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -213,10 +213,9 @@ impl Layer for Dense {
         );
         let (batch, in_f, out_f) = (input.shape()[0], self.in_features, self.out_features);
         out.reset(&[batch, out_f]);
-        // At the default Reference tier the batch-lane product between
-        // the scratch's transposes, the bias added as `y` is read back;
-        // the Fast tier follows the scratch's precision setting instead.
-        if gemm.precision() == Precision::Reference && batch >= LANES_OVER_BATCH_MIN {
+        // The batch-lane product between the scratch's transposes, the
+        // bias added as `y` is read back.
+        if batch >= LANES_OVER_BATCH_MIN {
             let (xt, yt) = gemm.transpose_buffers(in_f * batch, out_f * batch);
             transpose(input.data(), batch, in_f, xt);
             self.forward_product(xt, batch, yt);
@@ -229,8 +228,7 @@ impl Layer for Dense {
         }
         // Both operands are already stored as rows over the contraction
         // dimension, so the scalar tile needs no transpose.
-        let (packs, precision) = gemm.packs_precision();
-        gemm_nt_with(
+        gemm_nt(
             batch,
             self.out_features,
             self.in_features,
@@ -238,8 +236,6 @@ impl Layer for Dense {
             self.weight.data(),
             BiasMode::ColAfter(self.bias.data()),
             out.data_mut(),
-            precision,
-            packs,
         );
     }
 

@@ -11,7 +11,7 @@
 //! `infer_with`, `backward`) takes `[batch, …]` tensors.  The batch-lane
 //! one (`forward_lanes`, `infer_lanes`, `backward_lanes`) takes the same
 //! tensors with the batch axis moved last, `[…, batch]`, which is the
-//! layout the Reference tier's lanes kernel reads and writes.  A
+//! layout the Reference lanes kernel reads and writes.  A
 //! [`crate::network::Sequential`] pass at [`BATCH_LANES_MIN`] samples or
 //! more converts its input once ([`to_batch_lanes`]) and keeps every
 //! activation and output gradient batch-innermost from layer to layer.
@@ -26,8 +26,7 @@ use crate::gemm::{transpose, GemmScratch};
 use crate::tensor::Tensor;
 
 /// Smallest batch a [`crate::network::Sequential`] pass runs in the
-/// batch-lane layout at the Reference tier (training, and Reference
-/// inference).  Below it the per-sample paths are as fast or faster — at
+/// batch-lane layout (training and inference).  Below it the per-sample paths are as fast or faster — at
 /// batch 8 the batch lanes only tie on the policies' deeper convolutions
 /// and lose on the first, and at batch 1 they fill one lane in eight —
 /// and both produce the same bits, so this moves speed only.
@@ -93,7 +92,7 @@ pub trait Layer: Send + Sync {
     /// Runs the forward pass, caching anything needed by [`Layer::backward`].
     ///
     /// Layers with a matrix-product forward (dense, convolution) compute
-    /// it on the Reference GEMM tier's kernels, as [`Layer::infer_with`]
+    /// it on the Reference GEMM kernels, as [`Layer::infer_with`]
     /// does — at large batches both convert at their edges around the
     /// layer's batch-lane routine ([`Layer::forward_lanes`]) — so training
     /// and inference share their bits.
@@ -110,7 +109,7 @@ pub trait Layer: Send + Sync {
     /// the evaluation harnesses mix the two paths and average hundreds of
     /// fault maps whose statistics must not depend on which path ran.
     /// Matrix-product layers implement it as [`Layer::infer_with`] with a
-    /// fresh Reference-tier [`GemmScratch`]; hot loops should hold a scratch
+    /// fresh [`GemmScratch`]; hot loops should hold a scratch
     /// and call `infer_with` (through [`crate::network::Sequential`]).
     fn infer(&self, input: &Tensor, out: &mut Tensor);
 
@@ -118,13 +117,12 @@ pub trait Layer: Send + Sync {
     /// caller-owned scratch.
     ///
     /// This is the production inference path of the matrix-product
-    /// layers: dense and convolution layers route through the GEMM
-    /// kernels here, at the precision tier the [`GemmScratch`] carries,
-    /// and their `infer` delegates to it at the Reference tier.
-    /// Element-wise layers fall back to their scalar `infer`.  At the
-    /// Reference tier each output element accumulates its terms in the
-    /// order of the layer's scalar oracle (the direct convolution; matmul
-    /// then bias), which the layers' unit tests pin bitwise.
+    /// layers: dense and convolution layers route through the Reference
+    /// GEMM kernels here, and their `infer` delegates to it.
+    /// Element-wise layers fall back to their scalar `infer`.  Each output
+    /// element accumulates its terms in the order of the layer's scalar
+    /// oracle (the direct convolution; matmul then bias), which the
+    /// layers' unit tests pin bitwise.
     fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         let _ = gemm;
         self.infer(input, out);
@@ -158,7 +156,7 @@ pub trait Layer: Send + Sync {
     /// tensors.  The layer may reuse `input`'s buffer for its output.
     fn forward_lanes(&mut self, input: Tensor) -> Tensor;
 
-    /// [`Layer::infer`] in the batch-lane layout, at the Reference tier.
+    /// [`Layer::infer`] in the batch-lane layout.
     fn infer_lanes(&self, input: &Tensor, out: &mut Tensor);
 
     /// [`Layer::backward`] in the batch-lane layout, after a

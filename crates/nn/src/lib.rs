@@ -20,11 +20,12 @@
 //! The implementation favours clarity and determinism: almost every
 //! operation is plain safe Rust over `Vec<f32>`, and all random
 //! initialization goes through a caller-supplied [`rand::Rng`] so that
-//! experiments are reproducible bit-for-bit.  The one deliberate
-//! exception is the [`gemm`] module's opt-in **Fast** precision tier,
-//! whose AVX2/NEON microkernels are the crate's only unsafe code — and
-//! even that tier is bitwise-reproducible across backends (see the
-//! [`gemm`] module docs for the two-tier contract).
+//! experiments are reproducible bit-for-bit.  Training, inference and
+//! evaluation run one GEMM tier, the bit-pinned Reference kernels.  The
+//! one deliberate exception to plain safe Rust is the [`gemm`] module's
+//! SIMD leaf code: the Reference lanes kernel's AVX2/AVX-512 bodies and
+//! the packed Fast kernel, a GEMM function no layer calls that is kept
+//! for throughput probes (see the [`gemm`] module docs).
 //!
 //! ## Example
 //!

@@ -1,7 +1,7 @@
 //! Sequential composition of layers into a trainable network.
 
 use crate::error::NnError;
-use crate::gemm::{GemmScratch, Precision};
+use crate::gemm::GemmScratch;
 use crate::layer::{
     from_batch_lanes, from_batch_lanes_into, to_batch_lanes, to_batch_lanes_into, Layer, BATCH_LANES_MIN,
 };
@@ -25,33 +25,9 @@ pub struct InferScratch {
 }
 
 impl InferScratch {
-    /// Creates an empty scratch; buffers grow on first use.  Inference
-    /// through it runs at the default
-    /// [`Precision::Reference`](crate::gemm::Precision::Reference) tier.
+    /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty scratch pinned to the given GEMM precision tier.
-    ///
-    /// The tier travels with the *inference state*, never with the network
-    /// weights: the same `Sequential` produces Reference bits through one
-    /// scratch and Fast bits through another.
-    pub fn with_precision(precision: crate::gemm::Precision) -> Self {
-        Self {
-            gemm: GemmScratch::with_precision(precision),
-            ..Self::default()
-        }
-    }
-
-    /// The GEMM precision tier this scratch routes layers through.
-    pub fn precision(&self) -> crate::gemm::Precision {
-        self.gemm.precision()
-    }
-
-    /// Switches the GEMM precision tier; buffers are retained.
-    pub fn set_precision(&mut self, precision: crate::gemm::Precision) {
-        self.gemm.set_precision(precision);
     }
 }
 
@@ -64,7 +40,7 @@ impl InferScratch {
 /// synchronization and perturbation snapshots need.
 ///
 /// A pass over [`BATCH_LANES_MIN`] (16) samples or more — every training
-/// batch, and Reference-tier inference at such batches — runs in the
+/// batch, and inference at such batches — runs in the
 /// batch-lane layout (see the [`crate::layer`] module docs): the network
 /// transposes its input once, every layer runs its `_lanes` routine, and
 /// only the output (and, in `backward`, the input gradient) is transposed
@@ -222,8 +198,8 @@ impl Sequential {
     }
 
     /// Shared ping-pong driver: runs the layer stack through the shared
-    /// im2col/GEMM inference core — in the batch-lane layout at the
-    /// Reference tier and [`BATCH_LANES_MIN`] samples or more — returning
+    /// im2col/GEMM inference core — in the batch-lane layout at
+    /// [`BATCH_LANES_MIN`] samples or more — returning
     /// `true` when the final activations ended up in `ping` and `false`
     /// for `pong`.
     fn infer_ping_pong(
@@ -237,7 +213,7 @@ impl Sequential {
             ping.copy_from(input);
             return true;
         }
-        if gemm.precision() == Precision::Reference && self.takes_lanes(input) {
+        if self.takes_lanes(input) {
             // Batch-innermost from the input's copy in `ping` on; the
             // output is transposed back into the other buffer.
             to_batch_lanes_into(input, ping);

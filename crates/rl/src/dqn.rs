@@ -170,6 +170,7 @@ pub fn accumulate_td_gradients(
 /// ```
 /// use berry_rl::dqn::{DqnAgent, DqnConfig};
 /// use berry_rl::policy::QNetworkSpec;
+/// use berry_nn::network::InferScratch;
 /// use berry_nn::tensor::Tensor;
 /// use rand::SeedableRng;
 ///
@@ -182,7 +183,8 @@ pub fn accumulate_td_gradients(
 ///     DqnConfig::default(),
 ///     &mut rng,
 /// )?;
-/// let action = agent.act_epsilon(&Tensor::zeros(&[3]), 0.1, &mut rng);
+/// let mut scratch = InferScratch::new();
+/// let action = agent.act_epsilon(&Tensor::zeros(&[3]), 0.1, &mut rng, &mut scratch);
 /// assert!(action < 4);
 /// # Ok(())
 /// # }
@@ -360,44 +362,18 @@ impl DqnAgent {
         self.q_net.infer_into(&batched, scratch)
     }
 
-    /// Greedy action for an observation.
-    ///
-    /// Allocates a fresh inference scratch per call; loops should prefer
-    /// [`DqnAgent::act_greedy_with_scratch`].
-    pub fn act_greedy(&self, observation: &Tensor) -> usize {
-        let mut scratch = InferScratch::new();
-        self.act_greedy_with_scratch(observation, &mut scratch)
-    }
-
-    /// Greedy action through a caller-owned inference scratch.
-    pub fn act_greedy_with_scratch(
-        &self,
-        observation: &Tensor,
-        scratch: &mut InferScratch,
-    ) -> usize {
+    /// Greedy action for an observation, through a caller-owned inference
+    /// scratch (hold one per loop, so every step reuses warm buffers).
+    pub fn act_greedy(&self, observation: &Tensor, scratch: &mut InferScratch) -> usize {
         self.q_values_into(observation, scratch)
             .argmax()
             .expect("num_actions is positive")
     }
 
-    /// ε-greedy action for an observation (Algorithm 1 line 6).
-    ///
-    /// Allocates a fresh inference scratch on greedy steps; training loops
-    /// should prefer [`DqnAgent::act_epsilon_with_scratch`].
+    /// ε-greedy action for an observation (Algorithm 1 line 6), through a
+    /// caller-owned inference scratch, so the exploitation branch's
+    /// forward pass reuses warm buffers across the whole training run.
     pub fn act_epsilon<R: Rng + ?Sized>(
-        &self,
-        observation: &Tensor,
-        epsilon: f32,
-        rng: &mut R,
-    ) -> usize {
-        let mut scratch = InferScratch::new();
-        self.act_epsilon_with_scratch(observation, epsilon, rng, &mut scratch)
-    }
-
-    /// ε-greedy action through a caller-owned inference scratch, so the
-    /// exploitation branch's forward pass reuses warm buffers across the
-    /// whole training run.
-    pub fn act_epsilon_with_scratch<R: Rng + ?Sized>(
         &self,
         observation: &Tensor,
         epsilon: f32,
@@ -407,7 +383,7 @@ impl DqnAgent {
         if rng.gen::<f32>() < epsilon {
             rng.gen_range(0..self.num_actions)
         } else {
-            self.act_greedy_with_scratch(observation, scratch)
+            self.act_greedy(observation, scratch)
         }
     }
 
@@ -518,7 +494,7 @@ mod tests {
         let obs = Tensor::from_vec(vec![2], vec![0.3, -0.7]).unwrap();
         let q = agent.q_values(&obs);
         assert_eq!(q.shape(), &[1, 3]);
-        assert_eq!(agent.act_greedy(&obs), q.argmax().unwrap());
+        assert_eq!(agent.act_greedy(&obs, &mut InferScratch::new()), q.argmax().unwrap());
     }
 
     #[test]
@@ -526,9 +502,10 @@ mod tests {
         let agent = small_agent(2);
         let mut r = rng(3);
         let obs = Tensor::zeros(&[2]);
+        let mut scratch = InferScratch::new();
         let mut counts = [0usize; 3];
         for _ in 0..300 {
-            counts[agent.act_epsilon(&obs, 1.0, &mut r)] += 1;
+            counts[agent.act_epsilon(&obs, 1.0, &mut r, &mut scratch)] += 1;
         }
         for c in counts {
             assert!(c > 50, "action distribution {counts:?} is not uniform-ish");
@@ -540,9 +517,10 @@ mod tests {
         let agent = small_agent(4);
         let mut r = rng(5);
         let obs = Tensor::from_vec(vec![2], vec![0.1, 0.9]).unwrap();
-        let greedy = agent.act_greedy(&obs);
+        let mut scratch = InferScratch::new();
+        let greedy = agent.act_greedy(&obs, &mut scratch);
         for _ in 0..20 {
-            assert_eq!(agent.act_epsilon(&obs, 0.0, &mut r), greedy);
+            assert_eq!(agent.act_epsilon(&obs, 0.0, &mut r, &mut scratch), greedy);
         }
     }
 
@@ -569,7 +547,7 @@ mod tests {
         assert!(last < first * 0.2, "loss {first} -> {last}");
         // The learned policy should prefer the rewarded action.
         let obs = Tensor::from_vec(vec![2], vec![1.0, 0.0]).unwrap();
-        assert_eq!(agent.act_greedy(&obs), 1);
+        assert_eq!(agent.act_greedy(&obs, &mut InferScratch::new()), 1);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! ```
 //! use berry_rl::dqn::{DqnAgent, DqnConfig};
 //! use berry_rl::policy::QNetworkSpec;
+//! use berry_nn::network::InferScratch;
 //! use berry_nn::tensor::Tensor;
 //! use rand::SeedableRng;
 //!
@@ -34,7 +35,7 @@
 //! let spec = QNetworkSpec::mlp(vec![32, 32]);
 //! let mut agent = DqnAgent::new(&spec, &[4], 5, DqnConfig::default(), &mut rng)?;
 //! let obs = Tensor::zeros(&[4]);
-//! let action = agent.act_greedy(&obs);
+//! let action = agent.act_greedy(&obs, &mut InferScratch::new());
 //! assert!(action < 5);
 //! # Ok(())
 //! # }

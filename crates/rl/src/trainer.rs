@@ -138,7 +138,7 @@ fn run_training_episode<E: Environment, R: Rng>(
     let mut steps = 0usize;
     for _ in 0..config.max_steps_per_episode {
         let epsilon = config.epsilon.value(*env_steps);
-        let action = agent.act_epsilon_with_scratch(&obs, epsilon, rng, infer);
+        let action = agent.act_epsilon(&obs, epsilon, rng, infer);
         let outcome = env.step(action, rng);
         episode_return += outcome.reward;
         buffer.push(Transition {
@@ -281,8 +281,9 @@ mod tests {
         let mut eval_env = Corridor::new(4);
         let mut obs = eval_env.reset(&mut rng);
         let mut reached_goal = false;
+        let mut scratch = InferScratch::new();
         for _ in 0..10 {
-            let action = agent.act_greedy(&obs);
+            let action = agent.act_greedy(&obs, &mut scratch);
             let outcome = eval_env.step(action, &mut rng);
             obs = outcome.observation;
             if let Some(t) = outcome.terminal {

@@ -29,7 +29,6 @@ use berry_core::evaluate::{
 use berry_core::experiment::ExperimentScale;
 use berry_core::Scenario;
 use berry_faults::chip::ChipProfile;
-use berry_nn::gemm::Precision;
 use berry_rl::eval::EvalStats;
 use berry_rl::Environment;
 use berry_uav::env::{NavigationConfig, NavigationEnv};
@@ -62,7 +61,6 @@ fn eval_config() -> FaultEvaluationConfig {
         max_steps: 20,
         quant_bits: 8,
         lanes: 2,
-        precision: Precision::Reference,
     }
 }
 

@@ -12,7 +12,6 @@ use berry_core::evaluate::{
     fault_map_seed, FaultEvaluationConfig,
 };
 use berry_faults::chip::ChipProfile;
-use berry_nn::gemm::Precision;
 use berry_rl::eval::EvalStats;
 use berry_rl::Environment;
 use berry_uav::env::{NavigationConfig, NavigationEnv};
@@ -37,7 +36,6 @@ fn eval_config() -> FaultEvaluationConfig {
         max_steps: 25,
         quant_bits: 8,
         lanes: 2,
-        precision: Precision::Reference,
     }
 }
 

@@ -1,35 +1,29 @@
-//! Integration pins of the explicit GEMM precision tier.
+//! GEMM-level pins of the packed Fast kernel behind `gemm_nt_with`.
 //!
-//! The Fast tier (packed SIMD microkernels, see `berry_nn::gemm::fast`)
-//! deliberately reassociates the contraction, so it cannot share the
-//! Reference tier's golden bits.  What it *does* promise — and what this
-//! file pins — is:
+//! No layer, evaluation or campaign runs the Fast kernel: inference and
+//! evaluation have one tier, the bit-pinned Reference kernels.  The Fast
+//! kernel (packed SIMD microkernels, see `berry_nn::gemm::fast`) remains
+//! as a GEMM function the benchmark probes time.  It deliberately
+//! reassociates the contraction, so it cannot share the Reference golden
+//! bits.  What this file pins at the GEMM level is:
 //!
 //! 1. **Reference is untouched**: routing `Precision::Reference` through
-//!    the tiered entry point is bitwise the plain [`gemm_nt`] kernel, so
-//!    every pre-existing golden snapshot keeps its bits.
+//!    `gemm_nt_with` is bitwise the plain [`gemm_nt`] kernel.
 //! 2. **Fast is close**: Fast agrees with Reference within an explicit
 //!    error bound derived from the term-magnitude sum, across randomized
 //!    dense shapes and full conv geometries (odd extents, strides,
 //!    paddings, every bias mode).
 //! 3. **Fast is *itself* deterministic**: the eight-lane accumulation
 //!    spec makes every backend (AVX2, NEON, scalar) agree bit for bit,
-//!    so the Fast tier carries its *own* golden snapshot — GEMM outputs,
-//!    whole-network inference and a full seeded fault evaluation — that
-//!    must reproduce on any host and under `BERRY_GEMM_FORCE_SCALAR=1`
-//!    (the CI tier-matrix leg).
+//!    so the Fast GEMM outputs carry their own golden snapshot that must
+//!    reproduce on any host and under `BERRY_GEMM_FORCE_SCALAR=1` (the CI
+//!    tier-matrix leg).
 
-use berry_core::evaluate::{evaluate_under_faults_seeded, FaultEvaluationConfig};
-use berry_faults::chip::ChipProfile;
 use berry_nn::gemm::{
     gemm_nt, gemm_nt_fast_with_backend, gemm_nt_with, im2col, BiasMode, FastBackend, Im2colShape,
     PackScratch, Precision,
 };
-use berry_nn::network::InferScratch;
 use berry_nn::tensor::Tensor;
-use berry_rl::Environment;
-use berry_uav::env::{NavigationConfig, NavigationEnv};
-use berry_uav::world::ObstacleDensity;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -108,8 +102,8 @@ fn assert_close(
 // ---------------------------------------------------------------------------
 
 /// `Precision::Reference` through `gemm_nt_with` must be bitwise the plain
-/// `gemm_nt` kernel — the guarantee that every pre-existing golden
-/// snapshot in this repo survives the tier introduction unchanged.
+/// `gemm_nt` kernel, so the Fast-over-Reference figures of the benchmark
+/// probes compare against the kernel the layers run.
 #[test]
 fn reference_tier_is_bitwise_plain_gemm_nt() {
     let mut r = rng(41);
@@ -151,23 +145,6 @@ fn reference_tier_is_bitwise_plain_gemm_nt() {
     }
 }
 
-/// A default `InferScratch` runs the Reference tier, and saying so
-/// explicitly changes nothing — network inference bits are governed only
-/// by the tier, never by how the scratch was constructed.
-#[test]
-fn default_inference_is_reference_tier() {
-    let (policy, env, _) = fixture();
-    let obs = observation(&env);
-    let mut default_scratch = InferScratch::new();
-    let mut explicit_scratch = InferScratch::with_precision(Precision::Reference);
-    let out_default = policy.infer_into(&obs, &mut default_scratch).clone();
-    let out_explicit = policy.infer_into(&obs, &mut explicit_scratch).clone();
-    assert_eq!(
-        fnv1a_bits(out_default.data()),
-        fnv1a_bits(out_explicit.data())
-    );
-}
-
 // ---------------------------------------------------------------------------
 // 2. Fast tracks Reference within the explicit bound (property tests).
 // ---------------------------------------------------------------------------
@@ -206,8 +183,8 @@ proptest! {
 
     /// Random *conv* geometries: channels, spatial extents, kernel,
     /// stride and padding are all drawn (validated via `Im2colShape`),
-    /// the patch matrix is built by `im2col`, and the filter GEMM runs at
-    /// both tiers — the exact path `Conv2d` layers take at inference.
+    /// the patch matrix is built by `im2col`, and the filter GEMM runs on
+    /// both kernels.
     #[test]
     fn fast_tracks_reference_on_random_conv_geometry(seed in 0u64..300) {
         let mut r = rng(seed ^ 0xC0_47);
@@ -253,36 +230,12 @@ proptest! {
 // 3. The Fast tier's own golden snapshot.
 // ---------------------------------------------------------------------------
 
-fn fixture() -> (berry_nn::network::Sequential, NavigationEnv, ChipProfile) {
-    // Policy seed 33 — same fixture as `golden_snapshot.rs`, so the Fast
-    // pins and the Reference pins describe the same network and maps.
-    let mut r = rng(33);
-    let env = NavigationEnv::new(NavigationConfig::with_density(ObstacleDensity::Sparse)).unwrap();
-    let policy = berry_rl::policy::QNetworkSpec::mlp(vec![24, 16])
-        .build(&env.observation_shape(), env.num_actions(), &mut r)
-        .unwrap();
-    (policy, env, ChipProfile::generic())
-}
-
-fn observation(env: &NavigationEnv) -> Tensor {
-    // A real reset observation (seed 7), stacked as a one-lane batch —
-    // the exact tensor shape the evaluation hot path feeds the network.
-    let mut env = env.clone();
-    let mut r = rng(7);
-    let obs = env.reset(&mut r);
-    let len = obs.len();
-    obs.reshape(&[1, len]).unwrap()
-}
-
 /// Pinned FNV-1a hash of the Fast-tier dense GEMM output
 /// (m=16, n=10, k=24, `RowInit` bias, seed 52).
 const FAST_DENSE_GOLDEN: u64 = 0x90b2_2616_d518_7797;
 /// Pinned FNV-1a hash of the Fast-tier C3F2-conv2 GEMM output
 /// (8×9×9 input, 3×3 kernel, stride 2, padding 1, 16 filters, seed 53).
 const FAST_CONV_GOLDEN: u64 = 0x06bf_0127_4dce_8192;
-/// Pinned FNV-1a hash of a Fast-tier whole-network inference output
-/// (the seed-33 policy on the seed-7 observation).
-const FAST_INFER_GOLDEN: u64 = 0x6a28_7ea0_ad95_8c08;
 
 /// The Fast tier's GEMM outputs are pinned bit for bit — on *every*
 /// backend, because the eight-lane accumulation spec makes AVX2, NEON and
@@ -362,112 +315,4 @@ fn fast_gemm_matches_fast_golden_snapshot() {
             backend.name()
         );
     }
-}
-
-/// Whole-network inference at the Fast tier is pinned too: the tier flows
-/// from `InferScratch` through every conv and dense layer, so this pin
-/// breaks if any layer stops honoring the requested precision.
-#[test]
-fn fast_inference_matches_fast_golden_snapshot() {
-    let (policy, env, _) = fixture();
-    let obs = observation(&env);
-    let mut scratch = InferScratch::with_precision(Precision::Fast);
-    let out = policy.infer_into(&obs, &mut scratch);
-    let hash = fnv1a_bits(out.data());
-    eprintln!("observed fast inference hash: {hash:#018x}");
-    assert_eq!(hash, FAST_INFER_GOLDEN, "Fast-tier inference bits drifted");
-    // The tier must actually be live: Fast reassociates a k=162 dense
-    // contraction, so its bits cannot coincide with Reference — if they
-    // do, some layer stopped honoring the scratch's precision.
-    let mut ref_scratch = InferScratch::new();
-    let ref_hash = fnv1a_bits(policy.infer_into(&obs, &mut ref_scratch).data());
-    assert_ne!(
-        hash, ref_hash,
-        "Fast-tier inference returned Reference bits — the precision knob is not reaching the GEMM"
-    );
-}
-
-/// Bit patterns of the Fast-tier golden evaluation, in `EvalStats` field
-/// order — same fixture, seed and BER as the Reference pins in
-/// `golden_snapshot.rs`, with `precision: Fast`.
-///
-/// These happen to coincide with the Reference pins: evaluation statistics
-/// are aggregates of argmax *action* trajectories, and on this small
-/// fixture the ULP-level Q-value shifts the Fast tier introduces never
-/// flip a greedy choice.  That coincidence is a measurement, not a law —
-/// the tier is proven live by `fast_inference_matches_fast_golden_snapshot`
-/// (whose raw network bits must *differ* from Reference), and a drifted
-/// Fast kernel would still land here the moment it perturbs any action.
-const FAST_EVAL_GOLDEN_BITS: [u64; 7] = [
-    0x3fd9_9999_9999_999a, // success_rate (0.4)
-    0x3fe0_0000_0000_0000, // collision_rate (0.5)
-    0x3fb9_9999_9999_999a, // timeout_rate (0.1)
-    0x401d_46e3_4a19_999a, // mean_return
-    0x4028_6666_6666_6666, // mean_steps
-    0x4028_132e_7b7a_d7ce, // mean_distance
-    0x402f_b522_2e0f_6f8e, // mean_success_distance
-];
-
-/// A full seeded fault evaluation at the Fast tier lands on its own
-/// golden bits, and — like the Reference protocol — is lane-count
-/// invariant: the precision tier changes which GEMM kernel runs, never
-/// how episodes are seeded or scheduled.
-#[test]
-fn fast_evaluation_matches_fast_golden_snapshot() {
-    let (policy, env, chip) = fixture();
-    let cfg = FaultEvaluationConfig {
-        fault_maps: 5,
-        episodes_per_map: 2,
-        max_steps: 20,
-        quant_bits: 8,
-        lanes: 2,
-        precision: Precision::Fast,
-    };
-    let base_seed: u64 = 0x60_1D_5E_ED;
-    let ber = 0.01;
-    let stats = evaluate_under_faults_seeded(&policy, &env, &chip, ber, &cfg, base_seed).unwrap();
-    let wide = FaultEvaluationConfig { lanes: 16, ..cfg };
-    let stats_wide =
-        evaluate_under_faults_seeded(&policy, &env, &chip, ber, &wide, base_seed).unwrap();
-    let observed = [
-        stats.success_rate.to_bits(),
-        stats.collision_rate.to_bits(),
-        stats.timeout_rate.to_bits(),
-        stats.mean_return.to_bits(),
-        stats.mean_steps.to_bits(),
-        stats.mean_distance.to_bits(),
-        stats.mean_success_distance.to_bits(),
-    ];
-    eprintln!(
-        "observed fast eval: [{:#x}, {:#x}, {:#x}, {:#x}, {:#x}, {:#x}, {:#x}] episodes={} \
-         success={} return={}",
-        observed[0],
-        observed[1],
-        observed[2],
-        observed[3],
-        observed[4],
-        observed[5],
-        observed[6],
-        stats.episodes,
-        stats.success_rate,
-        stats.mean_return,
-    );
-    assert_eq!(stats.episodes, 10);
-    assert_eq!(
-        observed, FAST_EVAL_GOLDEN_BITS,
-        "Fast-tier evaluation drifted from its golden bits"
-    );
-    let wide_bits = [
-        stats_wide.success_rate.to_bits(),
-        stats_wide.collision_rate.to_bits(),
-        stats_wide.timeout_rate.to_bits(),
-        stats_wide.mean_return.to_bits(),
-        stats_wide.mean_steps.to_bits(),
-        stats_wide.mean_distance.to_bits(),
-        stats_wide.mean_success_distance.to_bits(),
-    ];
-    assert_eq!(
-        wide_bits, observed,
-        "Fast-tier evaluation is not lane-count invariant"
-    );
 }

@@ -7,9 +7,9 @@
 //! backward that changes a single bit.  The digests are FNV-1a over the
 //! little-endian bytes of `Sequential::to_flat_weights`; the
 //! floating-point order of every layer's forward, backward and the Adam
-//! step is part of what they pin.  Training runs at the Reference GEMM
-//! tier regardless of `BERRY_GEMM_FORCE_SCALAR`, so the digests must not
-//! depend on the host's SIMD backend either.
+//! step is part of what they pin.  Training runs the Reference GEMM
+//! kernels, whose bits do not depend on `BERRY_GEMM_FORCE_SCALAR`, so the
+//! digests must not depend on the host's SIMD backend either.
 
 use berry_core::experiment::ExperimentScale;
 use berry_core::perturb::NetworkPerturber;
