@@ -36,17 +36,17 @@
 //!   and pass, on the lanes kernel's detected body and (`_avx2` keys) on
 //!   its 256-bit AVX2 body, so one report shows both widths on one host;
 //! * **Reference kernels** — GFLOP/s of the Reference tier's two GEMM
-//!   kernels on the per-sample conv2/conv3 shapes of C3F2 (what inference
-//!   below batch 16 runs): the scalar register tile (`gemm_nt`) and the
+//!   kernels on the per-sample conv2/conv3 shapes of C3F2 (what batch-1
+//!   inference runs): the scalar register tile (`gemm_nt`) and the
 //!   lanes-across-outputs kernel (`gemm_kn`) on the body it runs here
 //!   (`backend`: `avx512`, `avx2` or `portable`), on its AVX2 body and on
 //!   its portable fallback (same products, same bits); the C3F2
 //!   convolutions' batch-lane routines — forward, dW and dX at batch 32,
-//!   inference at batch 16 and 32, operands copied outside the timer
+//!   inference at batch 2, 8, 16 and 32, operands copied outside the timer
 //!   (`_lanes_` keys; BENCH_PR15.json's `_b32_forward_us`-style keys
 //!   timed the batch-outer calls with their edge transposes inside) —
 //!   and their per-sample `infer_with` at batch 8, in µs; and C3F2
-//!   `infer_into` at batch 1 and 8;
+//!   `infer_into` at batch 1, 2, 4 and 8;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
 //!   once under the legacy contiguous partition and once under the
@@ -92,7 +92,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 18;
+const PR: u32 = 19;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -344,7 +344,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut infer_scratch = InferScratch::new();
     let mut infer_rows = Vec::new();
-    for batch in [1usize, 8] {
+    for batch in [1usize, 2, 4, 8] {
         let mut dims = vec![batch];
         dims.extend_from_slice(&env.observation_shape());
         let x = Tensor::rand_uniform(&dims, 0.0, 1.0, &mut rng);
@@ -835,7 +835,7 @@ fn pair_update_products(c: usize, (h, w): (usize, usize), actions: usize, rng: &
     // (layer, pass, m, n, k, products per pass)
     let forward = [
         ("conv1", "forward", 8, 9 * N, 9 * c, 9),
-        ("conv2", "forward", 16, N, 72, 25),
+        ("conv2", "forward", 16, 5 * N, 72, 5),
         ("conv3", "forward", 16, 5 * N, 144, 5),
         ("fc1", "forward", 64, N, 400, 1),
         ("fc2", "forward", actions, N, 64, 1),
@@ -919,7 +919,7 @@ fn reference_kernel_gflops() -> Vec<(String, f64)> {
 /// `forward_lanes`, `backward_params_lanes` (dW and the bias gradient) and
 /// the dX share of `backward_lanes` (its median less
 /// `backward_params_lanes`'), each call's operand copied outside the
-/// timed call; `infer_lanes` at batch 16 and 32; and the per-sample
+/// timed call; `infer_lanes` at batch 2, 8, 16 and 32; and the per-sample
 /// Reference `infer_with` at batch 8.
 fn conv_pass_us() -> Vec<(String, f64)> {
     let mut r = StdRng::seed_from_u64(23);
@@ -945,7 +945,7 @@ fn conv_pass_us() -> Vec<(String, f64)> {
         let xb = Tensor::rand_uniform(&[8, ic, size, size], -1.0, 1.0, &mut r);
         let infer = median_call_us(|| conv.infer_with(&xb, &mut y, &mut gemm));
         rows.push((format!("{name}_infer_b8_us"), infer));
-        for batch in [16usize, 32] {
+        for batch in [2usize, 8, 16, 32] {
             let xb = to_batch_lanes(&Tensor::rand_uniform(&[batch, ic, size, size], -1.0, 1.0, &mut r));
             let infer = median_call_us(|| conv.infer_lanes(&xb, &mut y));
             rows.push((format!("{name}_infer_lanes_b{batch}_us"), infer));

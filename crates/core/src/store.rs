@@ -747,6 +747,15 @@ mod tests {
     use super::*;
     use berry_uav::world::ObstacleDensity;
 
+    /// Serializes the tests that persist to or load from disk with the
+    /// failpoint test, which arms the process-global `store.persist` and
+    /// `store.load` sites: a disk test running while they are armed would
+    /// have its own writes and reads fail.
+    fn disk_sites_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn smoke_request(base_seed: u64) -> PairRequest {
         let scale = crate::experiment::ExperimentScale::Smoke;
         PairRequest::new(
@@ -871,6 +880,7 @@ mod tests {
 
     #[test]
     fn disk_layer_round_trips_bitwise_and_counts_disk_hits() {
+        let _disk = disk_sites_lock();
         let dir = std::env::temp_dir().join(format!(
             "berry-policy-store-test-{}-{:x}",
             std::process::id(),
@@ -1041,6 +1051,7 @@ mod tests {
 
     #[test]
     fn truncated_pair_record_is_quarantined_and_retrained() {
+        let _disk = disk_sites_lock();
         let (dir, request, pair_file) = seeded_disk_store(1);
         let bytes = std::fs::read(&pair_file).unwrap();
         std::fs::write(&pair_file, &bytes[..bytes.len() / 2]).unwrap();
@@ -1049,6 +1060,7 @@ mod tests {
 
     #[test]
     fn bit_flipped_pair_record_is_quarantined_and_retrained() {
+        let _disk = disk_sites_lock();
         let (dir, request, pair_file) = seeded_disk_store(2);
         let mut bytes = std::fs::read(&pair_file).unwrap();
         let target = bytes.len() * 3 / 4; // deep in the weight payload
@@ -1059,6 +1071,7 @@ mod tests {
 
     #[test]
     fn missing_sidecar_is_quarantined_and_retrained() {
+        let _disk = disk_sites_lock();
         let (dir, request, pair_file) = seeded_disk_store(3);
         std::fs::remove_file(pair_file.with_extension("fingerprint.json")).unwrap();
         assert_quarantined_and_retrained(&dir, &request, &pair_file);
@@ -1066,6 +1079,7 @@ mod tests {
 
     #[test]
     fn garbled_sidecar_is_quarantined_and_retrained() {
+        let _disk = disk_sites_lock();
         let (dir, request, pair_file) = seeded_disk_store(4);
         std::fs::write(
             pair_file.with_extension("fingerprint.json"),
@@ -1102,6 +1116,7 @@ mod tests {
     #[cfg(feature = "failpoints")]
     fn failpoints_drive_persist_torn_write_and_train_panic() {
         use crate::failpoint;
+        let _disk = disk_sites_lock();
 
         let dir = std::env::temp_dir().join(format!(
             "berry-store-chaos-{}-{:x}",

@@ -479,8 +479,6 @@ pub struct GemmScratch {
     /// Zero-bordered copy of the plane being unrolled (see
     /// [`GemmScratch::im2col_transposed`]).
     padded: Vec<f32>,
-    /// A transposed GEMM output (see [`GemmScratch::transpose_buffers`]).
-    out_t: Vec<f32>,
 }
 
 impl GemmScratch {
@@ -557,19 +555,6 @@ impl GemmScratch {
         len
     }
 
-    /// The patch buffer and a second buffer, grown to at least `in_len`
-    /// and `out_len` elements: the transposed input and output of the
-    /// dense layer's lanes-across-the-batch product.  Contents are
-    /// unspecified.
-    pub(crate) fn transpose_buffers(&mut self, in_len: usize, out_len: usize) -> (&mut [f32], &mut [f32]) {
-        if self.col.len() < in_len {
-            self.col.resize(in_len, 0.0);
-        }
-        if self.out_t.len() < out_len {
-            self.out_t.resize(out_len, 0.0);
-        }
-        (&mut self.col[..in_len], &mut self.out_t[..out_len])
-    }
 }
 
 /// Geometry of one im2col lowering: a `[c, h, w]` input plane unrolled into

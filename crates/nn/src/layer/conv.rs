@@ -2,17 +2,19 @@
 //!
 //! The layer's one training implementation runs in the batch-lane layout
 //! (see the [`super`] module docs), with SIMD lanes across the **batch**.
-//! Its input `[ic][iy][ix][n]` is copied once, row by row, into a
-//! zero-bordered buffer `xb[ic][iy + p][ix + p][n]`; there, every kernel
-//! tap of every output pixel is one contiguous run of samples, so the
-//! forward, dW and dX products read their operands in place through
+//! Its input `[ic][iy][ix][n]` is copied once into a zero-bordered buffer
+//! split into the stride's phases, `xb[ic][ry][rx][y′][x′][n]` holding
+//! bordered pixel `(y′·s + ry, x′·s + rx)` (at stride 1, simply
+//! `xb[ic][iy + p][ix + p][n]`).  There a kernel tap's inputs for a whole
+//! output row are one contiguous run over `(ox, n)`, at every stride, so
+//! the forward, dW and dX products read their operands in place through
 //! offset tables — no im2col, no re-unrolling, no gather copy — and the
 //! forward's product `C[oc][oy][ox][n]` is the output itself.  The
 //! batch-outer `forward`/`backward` convert at the layer's edges around
-//! those routines.  The batch-outer `infer`/`infer_with` (action
-//! selection, the lockstep rollout lanes — a `Sequential` pass of
-//! [`BATCH_LANES_MIN`] samples or more runs `infer_lanes` instead) unroll
-//! each sample's patches and run lanes across output pixels.
+//! those routines.  The batch-outer `infer`/`infer_with` (single-sample
+//! action selection — a `Sequential` pass of [`BATCH_LANES_MIN`] samples
+//! or more runs `infer_lanes` instead) unroll each sample's patches and
+//! run lanes across output pixels.
 
 use super::{from_batch_lanes, to_batch_lanes, Layer, BATCH_LANES_MIN};
 use crate::gemm::{
@@ -63,8 +65,9 @@ pub struct Conv2d {
     scratch: TrainScratch,
 }
 
-/// An input batch in the bordered batch-lane layout: `xb[ic][iy + p][ix +
-/// p][n]` with `+0.0` in the `p`-wide border.
+/// An input batch in the bordered batch-lane layout, split into stride
+/// phases (see [`Lanes::fill_input`]), with `+0.0` in the `p`-wide
+/// border.
 #[derive(Debug, Clone, Default)]
 struct LaneInput {
     xb: Vec<f32>,
@@ -89,7 +92,8 @@ struct PassScratch {
     /// in the bordered batch-lane layout with a border wide enough for
     /// every tap of the flipped kernel (see [`Lanes::go_extent`]).
     go: Vec<f32>,
-    /// Inference: the input's bordered batch-lane copy.
+    /// Inference: the input's bordered batch-lane copy, split into stride
+    /// phases.
     xb: Vec<f32>,
     /// Training forward below [`BATCH_LANES_MIN`]: the per-sample path's
     /// patch buffers.
@@ -183,40 +187,52 @@ impl Lanes {
         [self.out_c, self.shape.out_h, self.shape.out_w, self.batch]
     }
 
-    /// The bordered extent of the input's batch-lane copy.
+    /// The bordered extent of the input plane, `(h + 2p, w + 2p)`.
     fn padded(&self) -> (usize, usize) {
         let Im2colShape { height, width, padding, .. } = self.shape;
         (height + 2 * padding, width + 2 * padding)
     }
 
-    /// Copies a batch-lane input into its bordered copy `xb`.
+    /// The `(rows, cols)` of every stride phase's grid in the input's
+    /// bordered copy (see [`fill_bordered`]).
+    fn phase_extent(&self) -> (usize, usize) {
+        let ((hp, wp), s) = (self.padded(), self.shape.stride);
+        (hp.div_ceil(s), wp.div_ceil(s))
+    }
+
+    /// Copies a batch-lane input into its bordered copy `xb`, split into
+    /// stride phases: `xb[ic][ry][rx][y′][x′][n]` holds bordered pixel
+    /// `(y′·s + ry, x′·s + rx)`.
     fn fill_input(&self, input: &[f32], xb: &mut Vec<f32>) {
-        let Im2colShape { channels, height, width, padding, .. } = self.shape;
-        fill_bordered(input, self.batch, channels, (height, width), self.padded(), padding, xb);
+        let Im2colShape { channels, height, width, padding, stride, .. } = self.shape;
+        let extent = self.padded();
+        fill_bordered(input, self.batch, channels, (height, width), extent, padding, stride, xb);
     }
 
     /// Appends the offset in `xb` of every tap `(ic, kh, kw)`, ascending,
-    /// from an output pixel's window corner.
+    /// from an output pixel's cell: the tap reads phase `(kh % s, kw % s)`
+    /// at `kh / s` rows and `kw / s` columns past it.
     fn push_tap_offsets(&self, offsets: &mut Vec<usize>) {
-        let (hp, wp) = self.padded();
-        let k = self.shape.kernel;
-        for ic in 0..self.shape.channels {
+        let (rows, cols) = self.phase_extent();
+        let Im2colShape { channels, kernel: k, stride: s, .. } = self.shape;
+        for ic in 0..channels {
             for kh in 0..k {
                 for kw in 0..k {
-                    offsets.push(((ic * hp + kh) * wp + kw) * self.batch);
+                    let phase = (ic * s + kh % s) * s + kw % s;
+                    offsets.push(((phase * rows + kh / s) * cols + kw / s) * self.batch);
                 }
             }
         }
     }
 
-    /// Appends the offset in `xb` of every output pixel's window corner
+    /// Appends the offset in `xb` of every output pixel's cell `(oy, ox)`
     /// plus `lane`, pixels ascending.
     fn push_pixel_offsets(&self, lane: usize, offsets: &mut Vec<usize>) {
-        let wp = self.padded().1;
-        let Im2colShape { stride: s, out_h, out_w, .. } = self.shape;
+        let cols = self.phase_extent().1;
+        let Im2colShape { out_h, out_w, .. } = self.shape;
         for oy in 0..out_h {
             for ox in 0..out_w {
-                offsets.push((oy * s * wp + ox * s) * self.batch + lane);
+                offsets.push((oy * cols + ox) * self.batch + lane);
             }
         }
     }
@@ -225,31 +241,28 @@ impl Lanes {
     /// batch-lane output `out` (`[oc][q][n]`): per output pixel `q`,
     /// `out[oc][q][n] = bias[oc] ⊕ Σ_tap W[oc][tap] · xb[tap_at[tap] +
     /// pixel_at[q] + n]` with taps ascending — the direct kernel's order,
-    /// padding taps reading the `+0.0` border.  (`bench_report`'s
-    /// `pair_update_products` mirrors this split into products — one per
-    /// output row at stride 1, one per pixel otherwise; change both
-    /// together.)
+    /// padding taps reading the `+0.0` border.  A tap's cells for one
+    /// output row are adjacent in its phase at every stride, so one
+    /// product covers the row, its lanes running over `(ox, n)`.
+    /// (`bench_report`'s `pair_update_products` mirrors this split into
+    /// products — one per output row; change both together.)
     fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], offsets: &mut Vec<usize>, out: &mut [f32]) {
         let (n, plane, taps) = (self.batch, self.out_plane(), self.taps());
         offsets.clear();
         self.push_tap_offsets(offsets);
-        self.push_pixel_offsets(0, offsets);
-        let (tap_at, pixel_at) = offsets.split_at(taps);
         let body = KnBody::detected();
-        // At stride 1 a whole output row's windows are adjacent in `xb`,
-        // so one product covers the row: its lanes run over `(ox, n)`.
-        let run = if self.shape.stride == 1 { self.shape.out_w } else { 1 };
-        for (q, &corner) in pixel_at.iter().enumerate().step_by(run) {
+        let (row, run) = (self.phase_extent().1 * n, self.shape.out_w * n);
+        for oy in 0..self.shape.out_h {
             let ops = KnOperands {
                 a: weight,
                 a_rows: Stride(taps),
                 a_cols: Stride(1),
-                b: &xb[corner..],
-                b_rows: tap_at,
+                b: &xb[oy * row..],
+                b_rows: &offsets[..],
                 ldc: plane * n,
             };
             let bias = BiasMode::RowInit(bias);
-            gemm_kn_at(self.out_c, run * n, taps, &ops, bias, &mut out[q * n..], body);
+            gemm_kn_at(self.out_c, run, taps, &ops, bias, &mut out[oy * run..], body);
         }
     }
 
@@ -322,7 +335,7 @@ impl Lanes {
     fn fill_output_gradient(&self, go: &[f32], gb: &mut Vec<f32>) {
         let (extent, border) = self.go_extent();
         let out = (self.shape.out_h, self.shape.out_w);
-        fill_bordered(go, self.batch, self.out_c, out, extent, border, gb);
+        fill_bordered(go, self.batch, self.out_c, out, extent, border, 1, gb);
     }
 
     /// Rebuilds the stride phases with their offset tables when the
@@ -454,10 +467,15 @@ impl Lanes {
 }
 
 /// Copies the batch-lane `src` (`[ch][y][x][n]`, `h×w` per channel) into
-/// `dst[ch][border + y][border + x][n]` of a `rows×cols` plane per
-/// channel, one contiguous run per input row, `+0.0` everywhere outside
-/// the copied window.  Every element of `dst` is written once, so a
-/// reused buffer needs no clearing.
+/// a bordered plane of `rows×cols` cells per channel — `src` at
+/// `(border + y, border + x)`, `+0.0` in every other cell — stored split
+/// into its `stride` phases: cell `(y′·s + ry, x′·s + rx)` lands at
+/// `dst[ch][ry][rx][y′][x′][n]`, every phase a full `⌈rows/s⌉×⌈cols/s⌉`
+/// grid (cells past the plane hold `+0.0` too).  At stride 1 the one
+/// phase is the plane itself and each input row is one contiguous copy.
+/// Every element of `dst` is written once, so a reused buffer needs no
+/// clearing.
+#[allow(clippy::too_many_arguments)]
 fn fill_bordered(
     src: &[f32],
     batch: usize,
@@ -465,24 +483,44 @@ fn fill_bordered(
     (h, w): (usize, usize),
     (rows, cols): (usize, usize),
     border: usize,
+    stride: usize,
     dst: &mut Vec<f32>,
 ) {
-    let (line, run) = (cols * batch, w * batch);
-    dst.resize(channels * rows * line, 0.0);
-    if dst.is_empty() || run == 0 {
+    let s = stride;
+    let (grid_rows, line) = (rows.div_ceil(s), cols.div_ceil(s) * batch);
+    dst.resize(channels * s * s * grid_rows * line, 0.0);
+    if dst.is_empty() || w * batch == 0 {
         dst.fill(0.0);
         return;
     }
-    for (dst_plane, src_plane) in dst.chunks_exact_mut(rows * line).zip(src.chunks_exact(h * run)) {
-        let (top, rest) = dst_plane.split_at_mut(border * line);
-        top.fill(0.0);
-        let (window, bottom) = rest.split_at_mut(h * line);
-        bottom.fill(0.0);
-        for (row, src_row) in window.chunks_exact_mut(line).zip(src_plane.chunks_exact(run)) {
-            let (left, rest) = row.split_at_mut(border * batch);
-            left.fill(0.0);
-            rest[..run].copy_from_slice(src_row);
-            rest[run..].fill(0.0);
+    let channel_planes = dst.chunks_exact_mut(s * s * grid_rows * line);
+    for (dst_channel, src_plane) in channel_planes.zip(src.chunks_exact(h * w * batch)) {
+        for (phase, grid) in dst_channel.chunks_exact_mut(grid_rows * line).enumerate() {
+            let (ry, rx) = (phase / s, phase % s);
+            // The grid columns `x′` whose cells hold input pixels:
+            // `border ≤ x′·s + rx < border + w`.
+            let first = border.saturating_sub(rx).div_ceil(s);
+            let end = (border + w).saturating_sub(rx).div_ceil(s).max(first);
+            for (y, row) in (ry..).step_by(s).zip(grid.chunks_exact_mut(line)) {
+                if y < border || y >= border + h || first == end {
+                    row.fill(0.0);
+                    continue;
+                }
+                let (left, rest) = row.split_at_mut(first * batch);
+                left.fill(0.0);
+                let (window, right) = rest.split_at_mut((end - first) * batch);
+                right.fill(0.0);
+                // The input row from the pixel of grid column `first` on.
+                let ix = first * s + rx - border;
+                let src_row = &src_plane[((y - border) * w + ix) * batch..(y - border + 1) * w * batch];
+                if s == 1 {
+                    window.copy_from_slice(&src_row[..window.len()]);
+                } else {
+                    for (cell, samples) in window.chunks_exact_mut(batch).zip(src_row.chunks(batch).step_by(s)) {
+                        cell.copy_from_slice(samples);
+                    }
+                }
+            }
         }
     }
 }
@@ -983,7 +1021,7 @@ mod tests {
         // and training run with lanes across the batch, 17 and 24 with
         // masked lanes.  A 1×1 kernel at stride 1 without padding makes
         // one dX product span several input rows.
-        for &(ic, oc, k, s, p, h, w, batch) in &[
+        let shapes = [
             (1usize, 1usize, 1usize, 1usize, 0usize, 1usize, 1usize, 1usize),
             (2, 3, 3, 1, 1, 9, 9, 2),
             (3, 5, 3, 2, 1, 9, 7, 3),
@@ -1001,7 +1039,19 @@ mod tests {
             (1, 9, 1, 2, 2, 5, 4, 32),
             (3, 4, 1, 1, 0, 4, 5, 17),
             (3, 4, 1, 1, 0, 4, 5, 2),
-        ] {
+        ];
+        // Stride 2 and 3 over even, odd and non-square planes at every
+        // padding, on both sides of `BATCH_LANES_MIN`: the bordered copy's
+        // stride phases then hold partial rows and columns and cells past
+        // the plane.
+        let strided = [2usize, 3].into_iter().flat_map(|s| {
+            [(8usize, 8usize), (9, 9), (10, 7)].into_iter().flat_map(move |(h, w)| {
+                (0..=2usize).flat_map(move |p| {
+                    [1usize, 2, 3, 8, 17].map(|batch| (3usize, 4usize, 3usize, s, p, h, w, batch))
+                })
+            })
+        });
+        for (ic, oc, k, s, p, h, w, batch) in shapes.into_iter().chain(strided) {
             let at = format!("({ic},{oc},{k},{s},{p},{h},{w},{batch})");
             let mut conv = Conv2d::new(ic, oc, k, s, p, &mut r);
             // Nonzero biases, so the forward's bias-initialized

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use super::{from_batch_lanes, to_batch_lanes, Layer};
-use crate::gemm::{gemm_kn, gemm_nt, transpose, BiasMode, GemmScratch, StridedA};
+use crate::gemm::{gemm_kn, gemm_nt, transpose, BiasMode, StridedA};
 use crate::init;
 use crate::tensor::Tensor;
 
@@ -45,18 +45,10 @@ pub struct Dense {
     scratch: TrainScratch,
 }
 
-/// Smallest batch whose Reference forward runs with SIMD lanes across the
-/// batch; smaller batches (single-observation action selection) use the
-/// scalar tile, which needs no transposes.  Both paths produce the same
-/// bits, so this only moves speed.
-const LANES_OVER_BATCH_MIN: usize = 8;
-
 /// Reusable buffers of the training passes.  A cache, not state: cloning
 /// a layer starts the clone with empty buffers.
 #[derive(Debug, Default)]
 struct TrainScratch {
-    /// The forward's transposed operands.
-    gemm: GemmScratch,
     /// `dyᵀ·x` of the current backward, before it joins `grad_weight`.
     weight_step: Vec<f32>,
 }
@@ -140,18 +132,6 @@ impl Dense {
         &self.bias
     }
 
-    /// `yᵀ = W · xᵀ` over the batch-lane `xt` (`[in][batch]`) into `yt`
-    /// (`[out][batch]`), with SIMD lanes across the batch: W is already
-    /// the row-major A, `xᵀ` the k-major B.  Each element accumulates
-    /// k-ascending from +0.0 and the callers add the bias last, so the
-    /// bits match `Tensor::matmul` followed by the bias add (exact-zero
-    /// activations that matmul skips contribute ±0.0, which cannot change
-    /// a +0.0-initialized accumulator).
-    fn forward_product(&self, xt: &[f32], batch: usize, yt: &mut [f32]) {
-        let weights = StridedA::row_major(self.weight.data(), self.in_features);
-        gemm_kn(self.out_features, batch, self.in_features, weights, xt, BiasMode::None, yt);
-    }
-
     /// The parameter half of [`Layer::backward_lanes`]: `grad_w += dyᵀ · x`
     /// and `grad_b +=` the batch sums of the batch-lane `dyt`
     /// (`[out][batch]`).
@@ -190,9 +170,7 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        let mut gemm = std::mem::take(&mut self.scratch.gemm);
-        self.infer_with(input, &mut out, &mut gemm);
-        self.scratch.gemm = gemm;
+        self.infer(input, &mut out);
         match &mut self.cached_input {
             Some(cached) => cached.copy_from(input),
             None => self.cached_input = Some(input.clone()),
@@ -200,36 +178,19 @@ impl Layer for Dense {
         out
     }
 
+    /// The scalar tile over the batch-outer operands, which are already
+    /// stored as rows over the contraction dimension, so it needs no
+    /// transpose and no scratch.
     fn infer(&self, input: &Tensor, out: &mut Tensor) {
-        self.infer_with(input, out, &mut GemmScratch::new());
-    }
-
-    fn infer_with(&self, input: &Tensor, out: &mut Tensor, gemm: &mut GemmScratch) {
         assert_eq!(input.rank(), 2, "Dense expects [batch, features] input");
         assert_eq!(
             input.shape()[1],
             self.in_features,
             "Dense input feature mismatch"
         );
-        let (batch, in_f, out_f) = (input.shape()[0], self.in_features, self.out_features);
-        out.reset(&[batch, out_f]);
-        // The batch-lane product between the scratch's transposes, the
-        // bias added as `y` is read back.
-        if batch >= LANES_OVER_BATCH_MIN {
-            let (xt, yt) = gemm.transpose_buffers(in_f * batch, out_f * batch);
-            transpose(input.data(), batch, in_f, xt);
-            self.forward_product(xt, batch, yt);
-            for (n, y_row) in out.data_mut().chunks_exact_mut(out_f).enumerate() {
-                for ((y, yt_row), &b) in y_row.iter_mut().zip(yt.chunks_exact(batch)).zip(self.bias.data()) {
-                    *y = yt_row[n] + b;
-                }
-            }
-            return;
-        }
-        // Both operands are already stored as rows over the contraction
-        // dimension, so the scalar tile needs no transpose.
+        out.reset(&[input.shape()[0], self.out_features]);
         gemm_nt(
-            batch,
+            input.shape()[0],
             self.out_features,
             self.in_features,
             input.data(),
@@ -257,6 +218,13 @@ impl Layer for Dense {
         out
     }
 
+    /// `yᵀ = W · xᵀ` over the batch-lane `xᵀ` (`[in][batch]`) into `yᵀ`
+    /// (`[out][batch]`), with SIMD lanes across the batch: W is already
+    /// the row-major A, `xᵀ` the k-major B.  Each element accumulates
+    /// k-ascending from +0.0 and the bias is added last, so the bits match
+    /// `Tensor::matmul` followed by the bias add (exact-zero activations
+    /// that matmul skips contribute ±0.0, which cannot change a
+    /// +0.0-initialized accumulator).
     fn infer_lanes(&self, input: &Tensor, out: &mut Tensor) {
         assert!(
             input.rank() == 2 && input.shape()[0] == self.in_features,
@@ -264,7 +232,8 @@ impl Layer for Dense {
         );
         let batch = input.shape()[1];
         out.reset(&[self.out_features, batch]);
-        self.forward_product(input.data(), batch, out.data_mut());
+        let weights = StridedA::row_major(self.weight.data(), self.in_features);
+        gemm_kn(self.out_features, batch, self.in_features, weights, input.data(), BiasMode::None, out.data_mut());
         for (y_row, &b) in out.data_mut().chunks_exact_mut(batch).zip(self.bias.data()) {
             for y in y_row {
                 *y += b;
@@ -332,6 +301,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::GemmScratch;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -418,13 +388,23 @@ mod tests {
             let mut gemmed = Tensor::default();
             layer.infer_with(&x, &mut gemmed, &mut gemm);
             assert_eq!(gemmed.shape(), scalar.shape());
-            for (i, ((g, sc), f)) in gemmed
+            let mut lanes = Tensor::default();
+            layer.infer_lanes(&to_batch_lanes(&x), &mut lanes);
+            let lanes = from_batch_lanes(&lanes);
+            assert_eq!(lanes.shape(), scalar.shape());
+            for (i, (((g, sc), f), l)) in gemmed
                 .data()
                 .iter()
                 .zip(scalar.data())
                 .zip(forward.data())
+                .zip(lanes.data())
                 .enumerate()
             {
+                assert_eq!(
+                    l.to_bits(),
+                    sc.to_bits(),
+                    "infer_lanes vs scalar at ({in_f},{out_f},{batch}) elem {i}"
+                );
                 assert_eq!(
                     g.to_bits(),
                     sc.to_bits(),

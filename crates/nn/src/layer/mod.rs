@@ -26,11 +26,28 @@ use crate::gemm::{transpose, GemmScratch};
 use crate::tensor::Tensor;
 
 /// Smallest batch a [`crate::network::Sequential`] pass runs in the
-/// batch-lane layout (training and inference).  Below it the per-sample paths are as fast or faster — at
-/// batch 8 the batch lanes only tie on the policies' deeper convolutions
-/// and lose on the first, and at batch 1 they fill one lane in eight —
-/// and both produce the same bits, so this moves speed only.
-pub(crate) const BATCH_LANES_MIN: usize = 16;
+/// batch-lane layout (training and inference).  Both layouts produce the
+/// same bits, so this moves speed only.  It is the crossover of
+/// `Sequential::infer_into` on the policy networks (2×9×9 observation,
+/// 25 actions), measured on a 2-vCPU AVX-512 host under co-tenant load:
+/// the batch-lane pass's time over the per-sample pass's, each run a
+/// median of 15 alternating rounds, the table the median over runs (four
+/// on the AVX-512 body, three on the portable one):
+///
+/// | body     | net  | b1   | b2   | b3   | b4   | b5   | b8   |
+/// |----------|------|------|------|------|------|------|------|
+/// | AVX-512  | C3F2 | 1.72 | 1.17 | 0.87 | 0.84 | 0.63 | 0.51 |
+/// | AVX-512  | C5F4 | 1.61 | 1.13 | 0.92 | 0.82 | 0.61 | 0.52 |
+/// | portable | C3F2 | 1.70 | 1.37 | 1.24 | 0.94 | 0.89 | 0.77 |
+/// | portable | C5F4 | 1.60 | 1.35 | 1.16 | 0.95 | 0.94 | 0.77 |
+///
+/// The AVX-512 body's batch lanes win from batch 3 in every run, which
+/// sets this value; at batch 2 they still lose, mostly in the stride-2
+/// convolution, whose bordered copy is filled one `n`-sample cell at a
+/// time.  The portable body (`BERRY_GEMM_FORCE_SCALAR=1`, aarch64)
+/// crosses over at batch 4, so batch 3 runs slower there than it could.
+/// The AVX2 body was not timed.
+pub(crate) const BATCH_LANES_MIN: usize = 3;
 
 /// The batch-lane copy of a batch-outer tensor: `[n, d…]` becomes
 /// `[d…, n]`, element `(i, f)` moving to `(f, i)`.
@@ -92,10 +109,10 @@ pub trait Layer: Send + Sync {
     /// Runs the forward pass, caching anything needed by [`Layer::backward`].
     ///
     /// Layers with a matrix-product forward (dense, convolution) compute
-    /// it on the Reference GEMM kernels, as [`Layer::infer_with`]
-    /// does — at large batches both convert at their edges around the
-    /// layer's batch-lane routine ([`Layer::forward_lanes`]) — so training
-    /// and inference share their bits.
+    /// it on the Reference GEMM kernels, as [`Layer::infer`] does — the
+    /// convolution, from [`BATCH_LANES_MIN`] samples on, converting at its
+    /// edges around its batch-lane routine ([`Layer::forward_lanes`]) —
+    /// so training and inference share their bits.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Runs an immutable, cache-free forward pass, writing the layer output
@@ -108,7 +125,7 @@ pub trait Layer: Send + Sync {
     /// of the contract (pinned by `tests/parallel_determinism.rs`), because
     /// the evaluation harnesses mix the two paths and average hundreds of
     /// fault maps whose statistics must not depend on which path ran.
-    /// Matrix-product layers implement it as [`Layer::infer_with`] with a
+    /// The convolution implements it as [`Layer::infer_with`] with a
     /// fresh [`GemmScratch`]; hot loops should hold a scratch
     /// and call `infer_with` (through [`crate::network::Sequential`]).
     fn infer(&self, input: &Tensor, out: &mut Tensor);
@@ -116,10 +133,10 @@ pub trait Layer: Send + Sync {
     /// [`Layer::infer`] through the shared im2col/GEMM core with a
     /// caller-owned scratch.
     ///
-    /// This is the production inference path of the matrix-product
-    /// layers: dense and convolution layers route through the Reference
-    /// GEMM kernels here, and their `infer` delegates to it.
-    /// Element-wise layers fall back to their scalar `infer`.  Each output
+    /// This is the batch-outer inference path of the convolution, which
+    /// unrolls its patches into the scratch and whose `infer` delegates
+    /// to it.  Dense layers (whose scalar tile needs no scratch) and
+    /// element-wise layers fall back to their `infer`.  Each output
     /// element accumulates its terms in the order of the layer's scalar
     /// oracle (the direct convolution; matmul then bias), which the
     /// layers' unit tests pin bitwise.

@@ -39,13 +39,14 @@ impl InferScratch {
 /// layer (parameters and gradients), which is exactly what target-network
 /// synchronization and perturbation snapshots need.
 ///
-/// A pass over [`BATCH_LANES_MIN`] (16) samples or more — every training
-/// batch, and inference at such batches — runs in the
-/// batch-lane layout (see the [`crate::layer`] module docs): the network
-/// transposes its input once, every layer runs its `_lanes` routine, and
-/// only the output (and, in `backward`, the input gradient) is transposed
-/// back.  Smaller batches run layer by layer batch-outer.  Both produce
-/// the same bits.
+/// A pass over [`BATCH_LANES_MIN`] (3) samples or more — every training
+/// batch, and inference over all but the smallest batches (the lockstep
+/// rollout lanes, the target network's `Q(s′)`) — runs in the batch-lane
+/// layout (see the [`crate::layer`] module docs): the network transposes
+/// its input once, every layer runs its `_lanes` routine, and only the
+/// output (and, in `backward`, the input gradient) is transposed back.
+/// Smaller batches (single-observation action selection) run layer by
+/// layer batch-outer.  Both produce the same bits.
 ///
 /// # Examples
 ///
@@ -713,11 +714,13 @@ mod tests {
         // The batch-lane pass (one layout for the whole network) against
         // every layer's batch-outer pass: forward, `infer_into`, the
         // parameter gradients of `backward_params` and then of a second
-        // `backward` without `zero_grad`, and its input gradient.  Batches
-        // 17 and 33 leave lanes of the kernel's vectors masked.
+        // `backward` without `zero_grad`, and its input gradient.  The
+        // batches lie on both sides of `BATCH_LANES_MIN` (below it the
+        // network runs layer by layer batch-outer itself), and all but 8,
+        // 16 and 32 leave lanes of the kernel's vectors masked.
         let mut r = rng(40);
         for (name, template) in policy_shaped_nets(&mut r) {
-            for batch in [16usize, 17, 32, 33] {
+            for batch in [1usize, 2, 3, 7, 8, 9, 16, 17, 32, 33] {
                 let at = format!("{name} batch {batch}");
                 let (mut lanes, mut layered) = (template.clone(), template.clone());
                 let mut scratch = InferScratch::new();
@@ -735,7 +738,7 @@ mod tests {
                         }
                     }
                     let y = lanes.forward(&x);
-                    assert!(lanes.lanes_cached, "{at}: the pass took the batch-lane layout");
+                    assert_eq!(lanes.lanes_cached, batch >= BATCH_LANES_MIN, "{at}: the pass's layout");
                     assert_bits_eq(&y, &expected, &format!("{at} forward"));
                     assert_bits_eq(lanes.infer_into(&x, &mut scratch), &expected, &format!("{at} infer_into"));
                     // The per-sample path agrees on single samples too.
