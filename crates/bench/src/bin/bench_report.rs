@@ -14,7 +14,9 @@
 //!   the number is core-count independent);
 //! * **GEMM GFLOP/s** — the inference core's arithmetic throughput on the
 //!   paper's policy shapes at batch 8: the C3F2 conv2 and C5F4 fc1 layers'
-//!   `infer_with` (`_reference` keys), and the conv2 product alone
+//!   `infer_lanes`, the pass a batch-8 rollout runs (`_lanes_b8_reference`
+//!   keys; BENCH_PR19.json's `_b8_reference` keys timed the batch-outer
+//!   `infer_with`, which no rollout runs), and the conv2 product alone
 //!   through `gemm_nt_with` on the Reference kernel and on the packed
 //!   Fast kernel (`_fast` keys, with the Fast-over-Reference speedup) —
 //!   the only place the Fast kernel still runs, since no layer calls it;
@@ -45,7 +47,9 @@
 //!   inference at batch 2, 8, 16 and 32, operands copied outside the timer
 //!   (`_lanes_` keys; BENCH_PR15.json's `_b32_forward_us`-style keys
 //!   timed the batch-outer calls with their edge transposes inside) —
-//!   and their per-sample `infer_with` at batch 8, in µs; and C3F2
+//!   the bordered-copy fill `infer_lanes` runs before its products at
+//!   batch 8 and 32 (`_fill_` keys), and their per-sample `infer_with` at
+//!   batch 8, in µs; and C3F2
 //!   `infer_into` at batch 1, 2, 4 and 8;
 //! * **scheduler comparison** — wall-clock and worker-idle tail of the
 //!   smoke campaign grid under a deliberately skewed per-cell cost, run
@@ -92,7 +96,7 @@ use std::time::Instant;
 /// report header, the `"pr"` JSON field and the default output filename —
 /// derives from this one constant, so bumping the report is a one-line
 /// change.
-const PR: u32 = 19;
+const PR: u32 = 20;
 
 const BER: f64 = 0.005;
 const ROLLOUT_EPISODES: usize = 64;
@@ -248,10 +252,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let conv = Conv2d::new(8, 16, 3, 2, 1, &mut r);
         let x = Tensor::rand_uniform(&[8, 8, 9, 9], -1.0, 1.0, &mut r);
         let flops = 8 * 2 * conv.macs_per_sample(9, 9) as u64;
-        let mut gemm = GemmScratch::new();
         let mut out = Tensor::default();
-        let layer = time_gflops(|| conv.infer_with(&x, &mut out, &mut gemm), flops);
-        gemm_rows.push(("c3f2_conv2_b8_reference", layer));
+        let x_lanes = to_batch_lanes(&x);
+        let layer = time_gflops(|| conv.infer_lanes(&x_lanes, &mut out), flops);
+        gemm_rows.push(("c3f2_conv2_lanes_b8_reference", layer));
         // The conv layer's GEMM alone (16×25×72, one sample).
         let shape = Im2colShape {
             channels: 8,
@@ -298,8 +302,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dense = Dense::new(600, 128, &mut r);
         let xd = Tensor::rand_uniform(&[8, 600], -1.0, 1.0, &mut r);
         let flops = gemm_flops(8, 128, 600);
-        let layer = time_gflops(|| dense.infer_with(&xd, &mut out, &mut gemm), flops);
-        gemm_rows.push(("c5f4_fc1_b8_reference", layer));
+        let xd_lanes = to_batch_lanes(&xd);
+        let layer = time_gflops(|| dense.infer_lanes(&xd_lanes, &mut out), flops);
+        gemm_rows.push(("c5f4_fc1_lanes_b8_reference", layer));
     }
     let _ = writeln!(json, "  \"gemm_gflops\": {{");
     for (i, (name, value)) in gemm_rows.iter().enumerate() {
@@ -919,8 +924,9 @@ fn reference_kernel_gflops() -> Vec<(String, f64)> {
 /// `forward_lanes`, `backward_params_lanes` (dW and the bias gradient) and
 /// the dX share of `backward_lanes` (its median less
 /// `backward_params_lanes`'), each call's operand copied outside the
-/// timed call; `infer_lanes` at batch 2, 8, 16 and 32; and the per-sample
-/// Reference `infer_with` at batch 8.
+/// timed call; `infer_lanes` at batch 2, 8, 16 and 32; the bordered-copy
+/// fill alone ([`Conv2d::fill_bordered_input`]) at batch 8 and 32; and the
+/// per-sample Reference `infer_with` at batch 8.
 fn conv_pass_us() -> Vec<(String, f64)> {
     let mut r = StdRng::seed_from_u64(23);
     let mut rows = Vec::new();
@@ -949,6 +955,10 @@ fn conv_pass_us() -> Vec<(String, f64)> {
             let xb = to_batch_lanes(&Tensor::rand_uniform(&[batch, ic, size, size], -1.0, 1.0, &mut r));
             let infer = median_call_us(|| conv.infer_lanes(&xb, &mut y));
             rows.push((format!("{name}_infer_lanes_b{batch}_us"), infer));
+            if batch == 8 || batch == 32 {
+                let fill = median_call_us(|| conv.fill_bordered_input(&xb));
+                rows.push((format!("{name}_fill_b{batch}_us"), fill));
+            }
         }
     }
     rows

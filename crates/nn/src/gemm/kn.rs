@@ -123,8 +123,8 @@ impl<'a> StridedA<'a> {
 
 /// Element offsets along one axis of a kernel operand: index `i` lies
 /// `at(i)` elements past the operand's start.  A [`Stride`] is the dense
-/// case; an offset table (`&[usize]`) lets the kernel read operands that
-/// are windows of a larger buffer — the convolution's zero-bordered,
+/// case; an offset [`Table`] lets the kernel read operands that are
+/// windows of a larger buffer — the convolution's zero-bordered,
 /// batch-innermost planes — in place, without an unrolling copy.
 ///
 /// For every `i < len`, `at(i)` must not exceed `last(len)`: the x86
@@ -134,7 +134,9 @@ pub(crate) trait Offsets: Copy {
     /// The offset of index `i`.
     fn at(self, i: usize) -> usize;
 
-    /// The largest offset of indices `0..len` (`len ≥ 1`).
+    /// An upper bound on the offsets of indices `0..len` (`len ≥ 1`): the
+    /// largest of them for a stride, and for a table read whole.  O(1),
+    /// since every product asserts its reach from it.
     ///
     /// # Panics
     ///
@@ -157,14 +159,31 @@ impl Offsets for Stride {
     }
 }
 
-impl Offsets for &[usize] {
+/// An offset table with its largest entry, taken once when the table is
+/// built, so a product's reach is asserted without rescanning the table.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Table {
+    offsets: Vec<usize>,
+    max: usize,
+}
+
+impl FromIterator<usize> for Table {
+    fn from_iter<I: IntoIterator<Item = usize>>(offsets: I) -> Self {
+        let offsets: Vec<usize> = offsets.into_iter().collect();
+        let max = offsets.iter().copied().max().unwrap_or(0);
+        Self { offsets, max }
+    }
+}
+
+impl Offsets for &Table {
     #[inline(always)]
     fn at(self, i: usize) -> usize {
-        self[i]
+        self.offsets[i]
     }
 
     fn last(self, len: usize) -> usize {
-        self[..len].iter().copied().max().unwrap_or(0)
+        assert!(len <= self.offsets.len(), "{len} offsets read from a table of {}", self.offsets.len());
+        self.max
     }
 }
 

@@ -84,7 +84,7 @@ mod simd_avx2;
 mod simd_neon;
 mod transpose;
 
-pub(crate) use kn::{gemm_kn_at, KnBody, KnOperands, Stride};
+pub(crate) use kn::{gemm_kn_at, KnBody, KnOperands, Stride, Table};
 pub(crate) use transpose::{transpose, transpose_rows};
 pub use kn::{gemm_kn, gemm_kn_with_backend, lanes_kernel_body, StridedA};
 use std::sync::OnceLock;
@@ -559,7 +559,7 @@ impl GemmScratch {
 
 /// Geometry of one im2col lowering: a `[c, h, w]` input plane unrolled into
 /// a `[out_h·out_w, c·kernel·kernel]` row-major patch matrix.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Im2colShape {
     /// Input channels.
     pub channels: usize,
@@ -762,6 +762,7 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kn::Offsets;
     use crate::tensor::Tensor;
     use rand::{Rng, SeedableRng};
 
@@ -951,6 +952,8 @@ mod tests {
             let b_rows: Vec<usize> = shuffled(k, &mut r).iter().map(|&p| p * (n + 5) + 2).collect();
             let b_kn: Vec<f32> = (0..k * n).map(|at| b_pool[b_rows[at / n] + at % n]).collect();
             let b_nt: Vec<f32> = (0..n * k).map(|at| b_kn[(at % k) * n + at / k]).collect();
+            // The tables the kernel reads, each carrying its maximum.
+            let [a_rows, a_cols, b_rows] = [a_rows, a_cols, b_rows].map(Table::from_iter);
             let mut row_bias = rand_vec(m, &mut r);
             row_bias[0] = -0.0;
             let col_bias = rand_vec(n, &mut r);
@@ -971,13 +974,13 @@ mod tests {
                         a_rows: Stride(k),
                         a_cols: Stride(1),
                         b: &b_pool,
-                        b_rows: &b_rows[..],
+                        b_rows: &b_rows,
                         ldc,
                     };
                     let tabled_a = KnOperands {
                         a: &a_pool,
-                        a_rows: &a_rows[..],
-                        a_cols: &a_cols[..],
+                        a_rows: &a_rows,
+                        a_cols: &a_cols,
                         b: &b_kn,
                         b_rows: Stride(n),
                         ldc,
@@ -1013,6 +1016,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn table_maximum_is_a_full_scan() {
+        // A product bounds its reads by the maximum a table stored when it
+        // was built; it must be the largest entry, wherever that lies.
+        let mut r = rng(13);
+        for len in [1usize, 2, 7, 72, 400] {
+            let offsets: Vec<usize> = (0..len).map(|_| r.gen_range(0..10_000)).collect();
+            let scan = offsets.iter().copied().max().expect("len ≥ 1");
+            for rotation in [0, len / 2, len - 1] {
+                let mut rotated = offsets.clone();
+                rotated.rotate_left(rotation);
+                let table: Table = rotated.iter().copied().collect();
+                assert_eq!((&table).last(len), scan, "len {len}, rotation {rotation}");
+                assert!((0..len).all(|i| (&table).at(i) == rotated[i]));
+            }
+        }
+        let strided: Table = (0..9).map(|i| i * 8).collect();
+        assert_eq!((&strided).last(9), Stride(8).last(9));
     }
 
     #[test]

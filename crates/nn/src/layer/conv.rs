@@ -10,16 +10,19 @@
 //! the forward, dW and dX products read their operands in place through
 //! offset tables — no im2col, no re-unrolling, no gather copy — and the
 //! forward's product `C[oc][oy][ox][n]` is the output itself.  The
-//! batch-outer `forward`/`backward` convert at the layer's edges around
-//! those routines.  The batch-outer `infer`/`infer_with` (single-sample
-//! action selection — a `Sequential` pass of [`BATCH_LANES_MIN`] samples
-//! or more runs `infer_lanes` instead) unroll each sample's patches and
-//! run lanes across output pixels.
+//! offset tables, and the zero borders of the bordered copies, are built
+//! once per geometry and thread (a [`Plan`]); a pass writes only the
+//! copies' interiors.  The batch-outer `forward`/`backward` convert at
+//! the layer's edges around those routines.  The batch-outer
+//! `infer`/`infer_with` (single-sample action selection — a `Sequential`
+//! pass of [`BATCH_LANES_MIN`] samples or more runs `infer_lanes`
+//! instead) unroll each sample's patches and run lanes across output
+//! pixels.
 
 use super::{from_batch_lanes, to_batch_lanes, Layer, BATCH_LANES_MIN};
 use crate::gemm::{
     gemm_kn, gemm_kn_at, transpose, transpose_rows, BiasMode, GemmScratch, Im2colShape, KnBody,
-    KnOperands, Stride, StridedA,
+    KnOperands, Stride, StridedA, Table,
 };
 use crate::init;
 use crate::tensor::Tensor;
@@ -62,12 +65,12 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    scratch: TrainScratch,
 }
 
 /// An input batch in the bordered batch-lane layout, split into stride
 /// phases (see [`Lanes::fill_input`]), with `+0.0` in the `p`-wide
-/// border.
+/// border.  The border is written when the input's dims change and kept
+/// after that: a forward over the same dims writes only the interior.
 #[derive(Debug, Clone, Default)]
 struct LaneInput {
     xb: Vec<f32>,
@@ -75,26 +78,26 @@ struct LaneInput {
     dims: [usize; 4],
 }
 
-/// The buffers one batch-lane pass uses and drops, sized for the whole
-/// batch.  Only one pass runs at a time on a thread, so every convolution
-/// on the thread shares one set ([`PASS_SCRATCH`]) — a set per layer
-/// would multiply this memory by the layers of every training, target
-/// and perturbed network.  Contents are unspecified between passes.
+/// This thread's [`Plan`]s and the buffers one batch-lane pass uses and
+/// drops, sized for the whole batch.  Only one pass runs at a time on a
+/// thread, so every convolution on the thread shares one set
+/// ([`PASS_SCRATCH`]) — a set per layer would multiply this memory by the
+/// layers of every training, target and perturbed network.  The pass
+/// buffers' contents are unspecified between passes.
 #[derive(Debug, Default)]
 struct PassScratch {
-    /// The offset tables of the current product.
-    offsets: Vec<usize>,
+    /// The plans of the last [`PLANS_MAX`] geometries the thread ran,
+    /// oldest first.
+    plans: Vec<Plan>,
     /// Backward: the weight gradient transposed, `[tap][oc]`, then at
     /// stride > 1 the input gradient phase by phase (see
     /// [`Lanes::input_gradient`]).
     c: Vec<f32>,
-    /// Backward: the output gradient transposed to `[n][pixel][oc]`, then
-    /// in the bordered batch-lane layout with a border wide enough for
-    /// every tap of the flipped kernel (see [`Lanes::go_extent`]).
-    go: Vec<f32>,
-    /// Inference: the input's bordered batch-lane copy, split into stride
-    /// phases.
-    xb: Vec<f32>,
+    /// Backward: the output gradient transposed to `[n][pixel][oc]`.
+    go_t: Vec<f32>,
+    /// Backward: per stride phase (concatenated), the flipped weight
+    /// restricted to the phase's taps, `Wf[ic][(oc, tap)]`.
+    flipped: Vec<f32>,
     /// Training forward below [`BATCH_LANES_MIN`]: the per-sample path's
     /// patch buffers.
     gemm: GemmScratch,
@@ -105,20 +108,84 @@ thread_local! {
     static PASS_SCRATCH: RefCell<PassScratch> = RefCell::new(PassScratch::default());
 }
 
-/// Per-layer tables of the input gradient.
-///
-/// A cache, not state: cloning a layer (target-network copies, perturbed
-/// snapshots) starts the clone with empty tables.
-#[derive(Debug, Default)]
-struct TrainScratch {
-    /// The input pixels grouped by stride phase; depends only on the
-    /// geometry in `phase_key`.
+/// The most [`Plan`]s a thread keeps.  The policy networks have three
+/// (C3F2) and five (C5F4) convolutions; past this many geometries the
+/// oldest plan is dropped, which bounds a thread's plan memory whatever
+/// shapes it runs.
+const PLANS_MAX: usize = 8;
+
+/// What every batch-lane pass over one geometry — one layer shape over
+/// one input shape and batch — reads besides its operands, built once
+/// and reused by each pass over it on the thread: the offset tables,
+/// each with its maximum, and the bordered copies, whose `+0.0` border is
+/// written when the plan is built for a batch and kept after that, so a
+/// pass writes only their interiors.  A new batch rebuilds the plan in
+/// place (tables rebuilt, buffers zeroed again), so a thread holds one
+/// plan per geometry, not one per batch.
+#[derive(Debug)]
+struct Plan {
+    lanes: Lanes,
+    /// Per tap `(ic, kh, kw)`, ascending, its offset in the input's
+    /// bordered copy from an output pixel's cell: the row table of the
+    /// forward's and dW's products.
+    taps: Table,
+    /// Inference: the input's bordered copy; empty until the first
+    /// inference at this batch.
+    xb: Vec<f32>,
+    /// Backward's tables and buffer, built by the first backward at this
+    /// batch (an inference-only geometry never builds them).
+    backward: Option<BackwardPlan>,
+}
+
+/// The part of a [`Plan`] only backward reads.
+#[derive(Debug)]
+struct BackwardPlan {
+    /// dW's column table: per `(n, q)`, ascending, the offset of output
+    /// pixel `q`'s cell plus lane `n` in the input's bordered copy.
+    pixels: Table,
+    /// dX: the input pixels grouped by stride phase.
     phases: Vec<StridePhase>,
-    /// The `(batch, height, width)` the phases were built for.
-    phase_key: (usize, usize, usize),
-    /// Per phase (concatenated), the flipped weight restricted to the
-    /// phase's taps: `Wf[ic][(oc, tap)]`.
-    flipped: Vec<f32>,
+    /// dX: the output gradient's bordered copy (see
+    /// [`Lanes::go_extent`]); empty until the first input gradient.
+    gb: Vec<f32>,
+}
+
+impl Plan {
+    /// The plan for `lanes` among a thread's `plans`: the one of the same
+    /// geometry, rebuilt first if it was built for another batch, or a
+    /// new one (dropping the oldest at [`PLANS_MAX`]).
+    fn find(plans: &mut Vec<Plan>, lanes: Lanes) -> &mut Plan {
+        let at = match plans.iter().position(|plan| plan.lanes.same_geometry(&lanes)) {
+            Some(at) => at,
+            None => {
+                if plans.len() == PLANS_MAX {
+                    plans.remove(0);
+                }
+                plans.push(Plan { lanes, taps: lanes.tap_offsets(), xb: Vec::new(), backward: None });
+                plans.len() - 1
+            }
+        };
+        let plan = &mut plans[at];
+        if plan.lanes.batch != lanes.batch {
+            // Every table offset and buffer cell moves with the batch.
+            plan.lanes = lanes;
+            plan.taps = lanes.tap_offsets();
+            plan.xb.clear();
+            plan.backward = None;
+        }
+        plan
+    }
+
+    /// The tap table and the backward part, built on first use.
+    fn backward(&mut self) -> (&Table, &mut BackwardPlan) {
+        let lanes = self.lanes;
+        let back = self.backward.get_or_insert_with(|| BackwardPlan {
+            pixels: lanes.pixel_offsets(),
+            phases: lanes.stride_phases(),
+            gb: Vec::new(),
+        });
+        (&self.taps, back)
+    }
 }
 
 /// The input pixels at one phase of the stride grid — `(iy + padding)`
@@ -147,13 +214,7 @@ struct StridePhase {
     /// then `kw` descending.
     taps: Vec<(usize, usize)>,
     /// Per `k = (oc, tap)`, the offset of B row `k` from a pixel's base.
-    rows: Vec<usize>,
-}
-
-impl Clone for TrainScratch {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
+    rows: Table,
 }
 
 /// One layer's geometry over one input batch: the per-sample im2col
@@ -176,6 +237,11 @@ impl Lanes {
         self.shape.rows()
     }
 
+    /// Whether `other` is this geometry, at any batch.
+    fn same_geometry(&self, other: &Lanes) -> bool {
+        self.out_c == other.out_c && self.shape == other.shape
+    }
+
     /// The input's batch-lane `[channels, height, width, batch]`.
     fn in_dims(&self) -> [usize; 4] {
         let Im2colShape { channels, height, width, .. } = self.shape;
@@ -194,128 +260,120 @@ impl Lanes {
     }
 
     /// The `(rows, cols)` of every stride phase's grid in the input's
-    /// bordered copy (see [`fill_bordered`]).
+    /// bordered copy (see [`fill_interior`]).
     fn phase_extent(&self) -> (usize, usize) {
         let ((hp, wp), s) = (self.padded(), self.shape.stride);
         (hp.div_ceil(s), wp.div_ceil(s))
     }
 
-    /// Copies a batch-lane input into its bordered copy `xb`, split into
+    /// Writes a batch-lane input into its bordered copy `xb`, split into
     /// stride phases: `xb[ic][ry][rx][y′][x′][n]` holds bordered pixel
-    /// `(y′·s + ry, x′·s + rx)`.
+    /// `(y′·s + ry, x′·s + rx)`.  Only the cells holding input pixels are
+    /// written; `xb` must be empty or hold an earlier fill of this
+    /// geometry (see [`fill_interior`]).
     fn fill_input(&self, input: &[f32], xb: &mut Vec<f32>) {
         let Im2colShape { channels, height, width, padding, stride, .. } = self.shape;
         let extent = self.padded();
-        fill_bordered(input, self.batch, channels, (height, width), extent, padding, stride, xb);
+        fill_interior(input, self.batch, channels, (height, width), extent, padding, stride, xb);
     }
 
-    /// Appends the offset in `xb` of every tap `(ic, kh, kw)`, ascending,
-    /// from an output pixel's cell: the tap reads phase `(kh % s, kw % s)`
-    /// at `kh / s` rows and `kw / s` columns past it.
-    fn push_tap_offsets(&self, offsets: &mut Vec<usize>) {
+    /// The offset in `xb` of every tap `(ic, kh, kw)`, ascending, from an
+    /// output pixel's cell: the tap reads phase `(kh % s, kw % s)` at
+    /// `kh / s` rows and `kw / s` columns past it.
+    fn tap_offsets(&self) -> Table {
         let (rows, cols) = self.phase_extent();
         let Im2colShape { channels, kernel: k, stride: s, .. } = self.shape;
-        for ic in 0..channels {
-            for kh in 0..k {
-                for kw in 0..k {
-                    let phase = (ic * s + kh % s) * s + kw % s;
-                    offsets.push(((phase * rows + kh / s) * cols + kw / s) * self.batch);
-                }
-            }
-        }
+        let n = self.batch;
+        (0..channels * k * k)
+            .map(|tap| {
+                let (ic, kh, kw) = (tap / (k * k), tap / k % k, tap % k);
+                let phase = (ic * s + kh % s) * s + kw % s;
+                ((phase * rows + kh / s) * cols + kw / s) * n
+            })
+            .collect()
     }
 
-    /// Appends the offset in `xb` of every output pixel's cell `(oy, ox)`
-    /// plus `lane`, pixels ascending.
-    fn push_pixel_offsets(&self, lane: usize, offsets: &mut Vec<usize>) {
+    /// The offset in `xb` of every output pixel's cell `(oy, ox)` plus
+    /// `lane`, over `(lane, oy, ox)` ascending.
+    fn pixel_offsets(&self) -> Table {
         let cols = self.phase_extent().1;
         let Im2colShape { out_h, out_w, .. } = self.shape;
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                offsets.push((oy * cols + ox) * self.batch + lane);
-            }
-        }
+        let n = self.batch;
+        (0..n * out_h * out_w)
+            .map(|j| {
+                let (lane, q) = (j / (out_h * out_w), j % (out_h * out_w));
+                (q / out_w * cols + q % out_w) * n + lane
+            })
+            .collect()
     }
 
     /// `out = bias ⊕ W ⊛ x` from the input's bordered copy `xb`, into the
     /// batch-lane output `out` (`[oc][q][n]`): per output pixel `q`,
-    /// `out[oc][q][n] = bias[oc] ⊕ Σ_tap W[oc][tap] · xb[tap_at[tap] +
-    /// pixel_at[q] + n]` with taps ascending — the direct kernel's order,
+    /// `out[oc][q][n] = bias[oc] ⊕ Σ_tap W[oc][tap] · xb[taps[tap] +
+    /// cell(q) + n]` with taps ascending — the direct kernel's order,
     /// padding taps reading the `+0.0` border.  A tap's cells for one
     /// output row are adjacent in its phase at every stride, so one
     /// product covers the row, its lanes running over `(ox, n)`.
     /// (`bench_report`'s `pair_update_products` mirrors this split into
     /// products — one per output row; change both together.)
-    fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], offsets: &mut Vec<usize>, out: &mut [f32]) {
-        let (n, plane, taps) = (self.batch, self.out_plane(), self.taps());
-        offsets.clear();
-        self.push_tap_offsets(offsets);
+    fn forward(&self, weight: &[f32], bias: &[f32], xb: &[f32], taps: &Table, out: &mut [f32]) {
+        let (n, plane, k) = (self.batch, self.out_plane(), self.taps());
         let body = KnBody::detected();
         let (row, run) = (self.phase_extent().1 * n, self.shape.out_w * n);
         for oy in 0..self.shape.out_h {
             let ops = KnOperands {
                 a: weight,
-                a_rows: Stride(taps),
+                a_rows: Stride(k),
                 a_cols: Stride(1),
                 b: &xb[oy * row..],
-                b_rows: &offsets[..],
+                b_rows: taps,
                 ldc: plane * n,
             };
             let bias = BiasMode::RowInit(bias);
-            gemm_kn_at(self.out_c, run, taps, &ops, bias, &mut out[oy * run..], body);
+            gemm_kn_at(self.out_c, run, k, &ops, bias, &mut out[oy * run..], body);
         }
     }
 
-    /// `dW += Σ_(n, q) x·go` and `db += Σ_(n, q) go` in the direct
-    /// kernel's `(n, oy, ox)` order, from the batch-lane output gradient
-    /// `go` (`[oc][q][n]`): `dWᵀ[tap][oc] += Σ_(n,q) xb[tap_at[tap] +
-    /// pixel_at[q] + n] · goᵀ[(n, q)][oc]`, lanes across `oc`, `A` read
-    /// from `xb` through its row (tap) and column (sample, pixel) tables.
-    fn weight_gradient(
-        &self,
-        xb: &[f32],
-        go: &[f32],
-        pass: &mut PassScratch,
-        grad_weight: &mut [f32],
-        grad_bias: &mut [f32],
-    ) {
-        let (n, plane, taps, oc) = (self.batch, self.out_plane(), self.taps(), self.out_c);
-        let PassScratch {
-            offsets,
-            c,
-            go: go_t,
-            ..
-        } = pass;
-        offsets.clear();
-        self.push_tap_offsets(offsets);
-        for lane in 0..n {
-            self.push_pixel_offsets(lane, offsets);
-        }
-        let (tap_at, col_at) = offsets.split_at(taps);
-        // goᵀ[(n, q)][oc]: source column `q·n + lane` lands on row
-        // `lane·plane + q`.
+    /// The batch-lane output gradient `go` (`[oc][q][n]`) transposed to
+    /// `go_t` (`[(n, q)][oc]`): source column `q·n + lane` lands on row
+    /// `lane·plane + q`.
+    fn transpose_output_gradient(&self, go: &[f32], go_t: &mut Vec<f32>) {
+        let (n, plane, oc) = (self.batch, self.out_plane(), self.out_c);
         go_t.resize(go.len(), 0.0);
         let row_at = (0..plane * n).map(|j| (j % n * plane + j / n) * oc);
         transpose_rows(go, plane * n, oc, plane * n, go_t, row_at);
-        for go_row in go_t.chunks_exact(oc) {
-            for (gb, &g) in grad_bias.iter_mut().zip(go_row) {
-                *gb += g;
-            }
-        }
+    }
+
+    /// `dW += Σ_(n, q) x·go` in the direct kernel's `(n, oy, ox)` order,
+    /// from the transposed output gradient `go_t` (`[(n, q)][oc]`, see
+    /// [`Lanes::transpose_output_gradient`]): `dWᵀ[tap][oc] += Σ_(n,q)
+    /// xb[taps[tap] + pixels[(n, q)]] · go_t[(n, q)][oc]`, lanes across
+    /// `oc`, `A` read from `xb` through its row (tap) and column (sample,
+    /// pixel) tables; `c` holds `dWᵀ`.
+    fn weight_gradient(
+        &self,
+        xb: &[f32],
+        go_t: &[f32],
+        taps: &Table,
+        pixels: &Table,
+        c: &mut Vec<f32>,
+        grad_weight: &mut [f32],
+    ) {
+        let (n, plane, k, oc) = (self.batch, self.out_plane(), self.taps(), self.out_c);
         // The accumulator is dWᵀ, so `BiasMode::Accumulate` continues each
         // weight's sum from its current gradient.
-        c.resize(taps * oc, 0.0);
-        transpose(grad_weight, oc, taps, c);
+        c.resize(k * oc, 0.0);
+        transpose(grad_weight, oc, k, c);
         let ops = KnOperands {
             a: xb,
-            a_rows: tap_at,
-            a_cols: col_at,
+            a_rows: taps,
+            a_cols: pixels,
             b: go_t,
             b_rows: Stride(oc),
             ldc: oc,
         };
-        gemm_kn_at(taps, oc, n * plane, &ops, BiasMode::Accumulate, c, KnBody::detected());
-        transpose(c, taps, oc, grad_weight);
+        gemm_kn_at(k, oc, n * plane, &ops, BiasMode::Accumulate, c, KnBody::detected());
+        transpose(c, k, oc, grad_weight);
     }
 
     /// The extent `(rows, cols)` of the output gradient's bordered copy
@@ -331,25 +389,22 @@ impl Lanes {
         ((rows, cols), border)
     }
 
-    /// Copies the batch-lane output gradient into its bordered copy.
+    /// Writes the batch-lane output gradient into its bordered copy `gb`,
+    /// which must be empty or hold an earlier fill of this geometry (see
+    /// [`fill_interior`]).
     fn fill_output_gradient(&self, go: &[f32], gb: &mut Vec<f32>) {
         let (extent, border) = self.go_extent();
         let out = (self.shape.out_h, self.shape.out_w);
-        fill_bordered(go, self.batch, self.out_c, out, extent, border, 1, gb);
+        fill_interior(go, self.batch, self.out_c, out, extent, border, 1, gb);
     }
 
-    /// Rebuilds the stride phases with their offset tables when the
-    /// geometry changed.
-    fn prepare_phases(&self, scratch: &mut TrainScratch) {
+    /// The input pixels grouped by stride phase, with their offset tables
+    /// into the output gradient's bordered copy.
+    fn stride_phases(&self) -> Vec<StridePhase> {
         let Im2colShape { height: h, width: w, kernel: k, stride: s, padding: p, .. } = self.shape;
         let n = self.batch;
-        let key = (n, h, w);
-        if scratch.phase_key == key && !scratch.phases.is_empty() {
-            return;
-        }
         let ((gh, gw), border) = self.go_extent();
-        let phases = &mut scratch.phases;
-        phases.clear();
+        let mut phases = Vec::new();
         for phase_y in 0..s {
             for phase_x in 0..s {
                 // On this phase `iy + p − kh` is a multiple of the stride
@@ -361,12 +416,11 @@ impl Lanes {
                     .filter(|kh| kh % s == phase_y)
                     .flat_map(|kh| (0..k).rev().filter(move |kw| kw % s == phase_x).map(move |kw| (kh, kw)))
                     .collect();
-                let mut rows = Vec::with_capacity(self.out_c * taps.len());
-                for oc in 0..self.out_c {
-                    for &(kh, kw) in &taps {
-                        rows.push(((oc * gh + border - kh / s) * gw + border - kw / s) * n);
-                    }
-                }
+                let rows = (0..self.out_c)
+                    .flat_map(|oc| {
+                        taps.iter().map(move |&(kh, kw)| ((oc * gh + border - kh / s) * gw + border - kw / s) * n)
+                    })
+                    .collect();
                 // The first pixel on the phase, and the grid's extent.
                 let (iy0, ix0) = ((phase_y + s - p % s) % s, (phase_x + s - p % s) % s);
                 let extent = (h.saturating_sub(iy0).div_ceil(s), w.saturating_sub(ix0).div_ceil(s));
@@ -394,30 +448,35 @@ impl Lanes {
                 }
             }
         }
-        scratch.phase_key = key;
+        phases
     }
 
-    /// `dX = Wf ⊛ go` from the output gradient's bordered copy `gb`
-    /// (`pass.go`, see [`Lanes::fill_output_gradient`]) into the
+    /// `dX = Wf ⊛ go` from the output gradient's bordered copy
+    /// (`back.gb`, see [`Lanes::fill_output_gradient`]) into the
     /// batch-lane `grad_input` (`[ic][iy][ix][n]`): per stride phase and
     /// run of its pixels, `dX[ic][n] = Σ_(oc, kh↓, kw↓) Wf[ic][k] ·
     /// gb[base + rows[k] + n]`.  At stride 1 the one phase is the whole
     /// plane and the products write `grad_input` in place; at larger
-    /// strides each phase's block is computed in `pass.c`, then copied to
+    /// strides each phase's block is computed in `block`, then copied to
     /// its pixels sample run by sample run.  (`bench_report`'s
     /// `pair_update_products` mirrors this split into products — one per
     /// entry of `phase.runs`, a row of each phase for C3F2's 3×3 kernels;
     /// change both together.)
-    fn input_gradient(&self, weight: &[f32], tables: &mut TrainScratch, pass: &mut PassScratch, grad_input: &mut [f32]) {
-        self.prepare_phases(tables);
+    fn input_gradient(
+        &self,
+        weight: &[f32],
+        back: &BackwardPlan,
+        flipped: &mut Vec<f32>,
+        block: &mut Vec<f32>,
+        grad_input: &mut [f32],
+    ) {
         let Im2colShape { channels: ic_n, height: h, width: w, kernel: k, stride: s, .. } = self.shape;
         let (n, oc_n) = (self.batch, self.out_c);
-        let TrainScratch { phases, flipped, .. } = tables;
-        let PassScratch { go: gb, c: block, .. } = pass;
+        let BackwardPlan { phases, gb, .. } = back;
 
         // The weights moved since the last backward: re-flip them.
         flipped.clear();
-        for phase in phases.iter() {
+        for phase in phases {
             for ic in 0..ic_n {
                 for oc in 0..oc_n {
                     let filter = &weight[(oc * ic_n + ic) * k * k..(oc * ic_n + ic + 1) * k * k];
@@ -427,7 +486,7 @@ impl Lanes {
         }
         let body = KnBody::detected();
         let mut flipped_at = 0;
-        for phase in phases.iter() {
+        for phase in phases {
             let kc = oc_n * phase.taps.len();
             let wf = &flipped[flipped_at..flipped_at + ic_n * kc];
             flipped_at += ic_n * kc;
@@ -445,7 +504,7 @@ impl Lanes {
                     a_rows: Stride(kc),
                     a_cols: Stride(1),
                     b: &gb[base..],
-                    b_rows: &phase.rows[..],
+                    b_rows: &phase.rows,
                     ldc: plane,
                 };
                 gemm_kn_at(ic_n, len * n, kc, &ops, BiasMode::None, &mut dst[pixel * n..], body);
@@ -466,17 +525,38 @@ impl Lanes {
     }
 }
 
-/// Copies the batch-lane `src` (`[ch][y][x][n]`, `h×w` per channel) into
-/// a bordered plane of `rows×cols` cells per channel — `src` at
-/// `(border + y, border + x)`, `+0.0` in every other cell — stored split
-/// into its `stride` phases: cell `(y′·s + ry, x′·s + rx)` lands at
-/// `dst[ch][ry][rx][y′][x′][n]`, every phase a full `⌈rows/s⌉×⌈cols/s⌉`
-/// grid (cells past the plane hold `+0.0` too).  At stride 1 the one
-/// phase is the plane itself and each input row is one contiguous copy.
-/// Every element of `dst` is written once, so a reused buffer needs no
-/// clearing.
+/// `grad_bias[oc] += Σ_(n, q) go_t[(n, q)][oc]`, each channel's terms in
+/// the direct kernel's `(n, q)` order, summed in a local copy written
+/// back once.
+fn accumulate_bias_gradient(go_t: &[f32], grad_bias: &mut [f32]) {
+    const TILE: usize = 16;
+    let oc = grad_bias.len();
+    for (j0, sums_out) in (0..oc).step_by(TILE).zip(grad_bias.chunks_mut(TILE)) {
+        let mut sums = [0.0f32; TILE];
+        let sums = &mut sums[..sums_out.len()];
+        sums.copy_from_slice(sums_out);
+        for go_row in go_t.chunks_exact(oc) {
+            for (sum, &g) in sums.iter_mut().zip(&go_row[j0..]) {
+                *sum += g;
+            }
+        }
+        sums_out.copy_from_slice(sums);
+    }
+}
+
+/// Writes the batch-lane `src` (`[ch][y][x][n]`, `h×w` per channel) into
+/// the interior of a bordered plane of `rows×cols` cells per channel —
+/// `src` at `(border + y, border + x)`, `+0.0` in every other cell —
+/// stored split into its `stride` phases: cell `(y′·s + ry, x′·s + rx)`
+/// lies at `dst[ch][ry][rx][y′][x′][n]`, every phase a full
+/// `⌈rows/s⌉×⌈cols/s⌉` grid (cells past the plane hold `+0.0` too).
+///
+/// Only the cells holding `src` are written: `dst` must be empty or hold
+/// an earlier fill of this same geometry, whose other cells are `+0.0`
+/// already.  An empty `dst` (or one of another size) is zeroed whole
+/// first; its owner empties it when the geometry changes.
 #[allow(clippy::too_many_arguments)]
-fn fill_bordered(
+fn fill_interior(
     src: &[f32],
     batch: usize,
     channels: usize,
@@ -488,40 +568,77 @@ fn fill_bordered(
 ) {
     let s = stride;
     let (grid_rows, line) = (rows.div_ceil(s), cols.div_ceil(s) * batch);
-    dst.resize(channels * s * s * grid_rows * line, 0.0);
-    if dst.is_empty() || w * batch == 0 {
-        dst.fill(0.0);
+    let len = channels * s * s * grid_rows * line;
+    if dst.len() != len {
+        dst.clear();
+        dst.resize(len, 0.0);
+    }
+    if len == 0 || h * w * batch == 0 {
         return;
     }
-    let channel_planes = dst.chunks_exact_mut(s * s * grid_rows * line);
-    for (dst_channel, src_plane) in channel_planes.zip(src.chunks_exact(h * w * batch)) {
-        for (phase, grid) in dst_channel.chunks_exact_mut(grid_rows * line).enumerate() {
-            let (ry, rx) = (phase / s, phase % s);
-            // The grid columns `x′` whose cells hold input pixels:
-            // `border ≤ x′·s + rx < border + w`.
-            let first = border.saturating_sub(rx).div_ceil(s);
-            let end = (border + w).saturating_sub(rx).div_ceil(s).max(first);
-            for (y, row) in (ry..).step_by(s).zip(grid.chunks_exact_mut(line)) {
-                if y < border || y >= border + h || first == end {
-                    row.fill(0.0);
-                    continue;
-                }
-                let (left, rest) = row.split_at_mut(first * batch);
-                left.fill(0.0);
-                let (window, right) = rest.split_at_mut((end - first) * batch);
-                right.fill(0.0);
-                // The input row from the pixel of grid column `first` on.
-                let ix = first * s + rx - border;
-                let src_row = &src_plane[((y - border) * w + ix) * batch..(y - border + 1) * w * batch];
+    // Column phase by column phase, so the divisions run once per phase,
+    // not once per row.
+    for rx in 0..s {
+        // The grid columns `x′` whose cells hold input pixels:
+        // `border ≤ x′·s + rx < border + w`.
+        let first = border.saturating_sub(rx).div_ceil(s);
+        let end = (border + w).saturating_sub(rx).div_ceil(s).max(first);
+        if first == end {
+            continue;
+        }
+        // The input row from the pixel of grid column `first` on.
+        let (cells, from) = ((end - first) * batch, (first * s + rx - border) * batch);
+        let channel_planes = dst.chunks_exact_mut(s * s * grid_rows * line);
+        for (dst_channel, src_plane) in channel_planes.zip(src.chunks_exact(h * w * batch)) {
+            // Bordered row `border + y` is row `grid_y` of row phase `ry`.
+            let (mut ry, mut grid_y) = (border % s, border / s);
+            for src_row in src_plane.chunks_exact(w * batch) {
+                let at = ((ry * s + rx) * grid_rows + grid_y) * line + first * batch;
+                let window = &mut dst_channel[at..at + cells];
                 if s == 1 {
-                    window.copy_from_slice(&src_row[..window.len()]);
+                    window.copy_from_slice(&src_row[from..from + cells]);
                 } else {
-                    for (cell, samples) in window.chunks_exact_mut(batch).zip(src_row.chunks(batch).step_by(s)) {
-                        cell.copy_from_slice(samples);
-                    }
+                    deal_cells(window, &src_row[from..], s, batch);
+                }
+                ry += 1;
+                if ry == s {
+                    (ry, grid_y) = (0, grid_y + 1);
                 }
             }
         }
+    }
+}
+
+/// Copies every `s`-th `batch`-sample cell of `src` into the adjacent
+/// cells of `window`, each cell as fixed-width moves at the batches the
+/// rollouts and training run (a library call per cell costs more than
+/// the copy).
+fn deal_cells(window: &mut [f32], src: &[f32], s: usize, batch: usize) {
+    match batch {
+        1 => deal_cells_of::<1>(window, src, s),
+        2 => deal_cells_of::<2>(window, src, s),
+        3 => deal_cells_of::<3>(window, src, s),
+        4 => deal_cells_of::<4>(window, src, s),
+        5 => deal_cells_of::<5>(window, src, s),
+        6 => deal_cells_of::<6>(window, src, s),
+        7 => deal_cells_of::<7>(window, src, s),
+        8 => deal_cells_of::<8>(window, src, s),
+        16 => deal_cells_of::<16>(window, src, s),
+        32 => deal_cells_of::<32>(window, src, s),
+        _ => {
+            for (cell, samples) in window.chunks_exact_mut(batch).zip(src.chunks(batch).step_by(s)) {
+                cell.copy_from_slice(samples);
+            }
+        }
+    }
+}
+
+/// [`deal_cells`] at a compile-time batch `N`.
+#[inline(always)]
+fn deal_cells_of<const N: usize>(window: &mut [f32], src: &[f32], s: usize) {
+    for (c, cell) in window.chunks_exact_mut(N).enumerate() {
+        let (cell, at): (&mut [f32; N], usize) = (cell.try_into().expect("a whole cell"), c * s * N);
+        *cell = src[at..at + N].try_into().expect("a whole input cell");
     }
 }
 
@@ -561,7 +678,6 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            scratch: TrainScratch::default(),
         }
     }
 
@@ -639,6 +755,21 @@ impl Conv2d {
         }
     }
 
+    /// Bench hook: writes a batch-lane `[channels, height, width, batch]`
+    /// input into this thread's bordered copy for the layer's geometry —
+    /// the data movement [`Layer::infer_lanes`] runs before its products
+    /// — and nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not rank 4 or its channels do not match.
+    pub fn fill_bordered_input(&self, input: &Tensor) {
+        let lanes = self.lanes(input.shape());
+        PASS_SCRATCH.with_borrow_mut(|pass| {
+            lanes.fill_input(input.data(), &mut Plan::find(&mut pass.plans, lanes).xb);
+        });
+    }
+
     /// [`Conv2d::lanes`] over a batch-outer `[batch, channels, height,
     /// width]` input.
     fn batch_outer_lanes(&self, shape: &[usize]) -> Lanes {
@@ -650,8 +781,12 @@ impl Conv2d {
     fn cache_input(&mut self, input: &Tensor) -> Lanes {
         let lanes = self.lanes(input.shape());
         let cached = self.cached_input.get_or_insert_with(LaneInput::default);
+        if cached.dims != lanes.in_dims() {
+            // Other dims put the border in other cells: zero it all again.
+            cached.xb.clear();
+            cached.dims = lanes.in_dims();
+        }
         lanes.fill_input(input.data(), &mut cached.xb);
-        cached.dims = lanes.in_dims();
         lanes
     }
 
@@ -670,15 +805,18 @@ impl Conv2d {
             "Conv2d gradient shape mismatch"
         );
         PASS_SCRATCH.with_borrow_mut(|pass| {
-            let (grad_weight, grad_bias) = (self.grad_weight.data_mut(), self.grad_bias.data_mut());
-            lanes.weight_gradient(&cached.xb, grad_output.data(), pass, grad_weight, grad_bias);
+            let PassScratch { plans, c, go_t, flipped, .. } = pass;
+            let (taps, back) = Plan::find(plans, lanes).backward();
+            lanes.transpose_output_gradient(grad_output.data(), go_t);
+            accumulate_bias_gradient(go_t, self.grad_bias.data_mut());
+            lanes.weight_gradient(&cached.xb, go_t, taps, &back.pixels, c, self.grad_weight.data_mut());
             if !input_gradient {
                 return None;
             }
-            lanes.fill_output_gradient(grad_output.data(), &mut pass.go);
+            lanes.fill_output_gradient(grad_output.data(), &mut back.gb);
             let mut grad_input = grad_output;
             grad_input.reset(&cached.dims);
-            lanes.input_gradient(self.weight.data(), &mut self.scratch, pass, grad_input.data_mut());
+            lanes.input_gradient(self.weight.data(), back, flipped, c, grad_input.data_mut());
             Some(grad_input)
         })
     }
@@ -782,8 +920,10 @@ impl Layer for Conv2d {
         out.reset(&lanes.out_dims());
         let xb = &self.cached_input.as_ref().expect("input cached above").xb;
         let (weight, bias) = (self.weight.data(), self.bias.data());
-        PASS_SCRATCH
-            .with_borrow_mut(|pass| lanes.forward(weight, bias, xb, &mut pass.offsets, out.data_mut()));
+        PASS_SCRATCH.with_borrow_mut(|pass| {
+            let plan = Plan::find(&mut pass.plans, lanes);
+            lanes.forward(weight, bias, xb, &plan.taps, out.data_mut());
+        });
         out
     }
 
@@ -791,9 +931,9 @@ impl Layer for Conv2d {
         let lanes = self.lanes(input.shape());
         out.reset(&lanes.out_dims());
         PASS_SCRATCH.with_borrow_mut(|pass| {
-            let PassScratch { xb, offsets, .. } = pass;
-            lanes.fill_input(input.data(), xb);
-            lanes.forward(self.weight.data(), self.bias.data(), xb, offsets, out.data_mut());
+            let plan = Plan::find(&mut pass.plans, lanes);
+            lanes.fill_input(input.data(), &mut plan.xb);
+            lanes.forward(self.weight.data(), self.bias.data(), &plan.xb, &plan.taps, out.data_mut());
         });
     }
 
@@ -1112,6 +1252,82 @@ mod tests {
                 assert_bits_eq(gi.data(), expected_gi.data(), &format!("dX at {at}"));
                 assert_bits_eq(conv.grad_weight.data(), &oracle_gw, &format!("dW at {at}"));
                 assert_bits_eq(conv.grad_bias.data(), &oracle_gb, &format!("grad_bias at {at}"));
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_geometries_on_one_thread_match_the_direct_kernel_bitwise() {
+        // Plans, their tables with their maxima and the bordered copies
+        // with their persistent borders are reused across passes on a
+        // thread.  Alternate batches (each change rebuilds a plan) and
+        // input planes (new dims re-zero the cached copy), at every stride,
+        // over layers of one geometry and of others — more geometries than
+        // a thread keeps plans for — so a stale border, table or maximum
+        // shows as a wrong bit.
+        let mut r = rng();
+        let mut layers = Vec::new();
+        for s in [1usize, 2, 3] {
+            // Two layers of one geometry (different weights), one of
+            // another width only, and one of another kernel and padding.
+            for (oc, k, p) in [(4usize, 3usize, 1usize), (4, 3, 1), (6, 3, 1), (5, 2, 0)] {
+                let mut conv = Conv2d::new(3, oc, k, s, p, &mut r);
+                conv.bias = Tensor::rand_uniform(&[oc], -0.5, 0.5, &mut r);
+                layers.push(conv);
+            }
+        }
+        // 8×7 and 7×8 make bordered copies of one length, with their
+        // borders in different cells.
+        let planes = [(9usize, 9usize), (8, 7), (7, 8)];
+        for batch in [8usize, 5, 8, 3, 32] {
+            for sweep in 0..planes.len() {
+                let mut passes = Vec::new();
+                // Forward through every layer, then backward in reverse, as
+                // a network runs: other geometries' passes fall between a
+                // layer's forward and its backward.
+                for (i, conv) in layers.iter_mut().enumerate() {
+                    // The layers of one stride share a plane in a sweep.
+                    let (h, w) = planes[(i / 4 + sweep) % planes.len()];
+                    let at = format!("layer {i}, batch {batch}, {h}×{w}");
+                    let mut x = Tensor::rand_uniform(&[batch, 3, h, w], -1.0, 1.0, &mut r);
+                    for v in x.data_mut().iter_mut().step_by(7) {
+                        *v = -0.0;
+                    }
+                    let expected = direct_forward(conv, &x);
+                    let mut inferred = Tensor::default();
+                    conv.infer_lanes(&to_batch_lanes(&x), &mut inferred);
+                    assert_bits_eq(from_batch_lanes(&inferred).data(), expected.data(), &format!("infer_lanes, {at}"));
+                    let y = conv.forward_lanes(to_batch_lanes(&x));
+                    assert_bits_eq(from_batch_lanes(&y).data(), expected.data(), &format!("forward_lanes, {at}"));
+                    let go = Tensor::rand_uniform(expected.shape(), -1.0, 1.0, &mut r);
+                    passes.push((x, go, at));
+                }
+                for (conv, (x, go, at)) in layers.iter_mut().zip(passes).rev() {
+                    conv.zero_grad();
+                    let mut oracle_gw = vec![0.0f32; conv.weight.len()];
+                    let mut oracle_gb = vec![0.0f32; conv.out_channels];
+                    let expected_gi = direct_backward(conv, &x, &go, &mut oracle_gw, &mut oracle_gb);
+                    let gi = from_batch_lanes(&conv.backward_lanes(to_batch_lanes(&go)));
+                    assert_bits_eq(gi.data(), expected_gi.data(), &format!("dX, {at}"));
+                    assert_bits_eq(conv.grad_weight.data(), &oracle_gw, &format!("dW, {at}"));
+                    assert_bits_eq(conv.grad_bias.data(), &oracle_gb, &format!("grad_bias, {at}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dealt_cells_match_a_cell_by_cell_copy() {
+        // Every fixed-width arm of `deal_cells` and its fallback.
+        for batch in 1usize..=33 {
+            for s in [2usize, 3] {
+                let cells = 5;
+                let src: Vec<f32> = (0..(cells * s) * batch).map(|i| i as f32 + 0.5).collect();
+                let mut window = vec![f32::NAN; cells * batch];
+                deal_cells(&mut window, &src, s, batch);
+                for (c, cell) in window.chunks_exact(batch).enumerate() {
+                    assert_bits_eq(cell, &src[c * s * batch..(c * s + 1) * batch], &format!("b{batch} s{s} cell {c}"));
+                }
             }
         }
     }

@@ -31,23 +31,24 @@ use crate::tensor::Tensor;
 /// `Sequential::infer_into` on the policy networks (2×9×9 observation,
 /// 25 actions), measured on a 2-vCPU AVX-512 host under co-tenant load:
 /// the batch-lane pass's time over the per-sample pass's, each run a
-/// median of 15 alternating rounds, the table the median over runs (four
+/// median of 15 alternating rounds, the table the median over runs (five
 /// on the AVX-512 body, three on the portable one):
 ///
 /// | body     | net  | b1   | b2   | b3   | b4   | b5   | b8   |
 /// |----------|------|------|------|------|------|------|------|
-/// | AVX-512  | C3F2 | 1.72 | 1.17 | 0.87 | 0.84 | 0.63 | 0.51 |
-/// | AVX-512  | C5F4 | 1.61 | 1.13 | 0.92 | 0.82 | 0.61 | 0.52 |
-/// | portable | C3F2 | 1.70 | 1.37 | 1.24 | 0.94 | 0.89 | 0.77 |
-/// | portable | C5F4 | 1.60 | 1.35 | 1.16 | 0.95 | 0.94 | 0.77 |
+/// | AVX-512  | C3F2 | 1.26 | 0.90 | 0.67 | 0.66 | 0.51 | 0.45 |
+/// | AVX-512  | C5F4 | 1.29 | 0.93 | 0.68 | 0.70 | 0.53 | 0.49 |
+/// | portable | C3F2 | 1.51 | 1.28 | 1.16 | 0.93 | 0.90 | 0.75 |
+/// | portable | C5F4 | 1.49 | 1.30 | 1.16 | 0.96 | 0.99 | 0.79 |
 ///
-/// The AVX-512 body's batch lanes win from batch 3 in every run, which
-/// sets this value; at batch 2 they still lose, mostly in the stride-2
-/// convolution, whose bordered copy is filled one `n`-sample cell at a
-/// time.  The portable body (`BERRY_GEMM_FORCE_SCALAR=1`, aarch64)
-/// crosses over at batch 4, so batch 3 runs slower there than it could.
-/// The AVX2 body was not timed.
-pub(crate) const BATCH_LANES_MIN: usize = 3;
+/// The AVX-512 body's batch lanes win from batch 2 in every run (0.85–0.98
+/// at batch 2), which sets this value; they lost at batch 2 (1.13–1.17)
+/// while the stride-2 convolution's bordered copy was filled by a library
+/// call per `n`-sample cell and rebuilt its border every pass.  The
+/// portable body (`BERRY_GEMM_FORCE_SCALAR=1`, aarch64) crosses over at
+/// batch 4, so batches 2–3 run slower there than they could.  The AVX2
+/// body was not timed.
+pub(crate) const BATCH_LANES_MIN: usize = 2;
 
 /// The batch-lane copy of a batch-outer tensor: `[n, d…]` becomes
 /// `[d…, n]`, element `(i, f)` moving to `(f, i)`.

@@ -39,9 +39,9 @@ impl InferScratch {
 /// layer (parameters and gradients), which is exactly what target-network
 /// synchronization and perturbation snapshots need.
 ///
-/// A pass over [`BATCH_LANES_MIN`] (3) samples or more — every training
-/// batch, and inference over all but the smallest batches (the lockstep
-/// rollout lanes, the target network's `Q(s′)`) — runs in the batch-lane
+/// A pass over [`BATCH_LANES_MIN`] (2) samples or more — every training
+/// batch, and inference over every batch (the lockstep rollout lanes, the
+/// target network's `Q(s′)`) — runs in the batch-lane
 /// layout (see the [`crate::layer`] module docs): the network transposes
 /// its input once, every layer runs its `_lanes` routine, and only the
 /// output (and, in `backward`, the input gradient) is transposed back.

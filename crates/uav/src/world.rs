@@ -216,9 +216,30 @@ impl std::fmt::Display for WorldVariant {
 pub struct ObstacleWorld {
     arena_size_m: f64,
     obstacles: Vec<Obstacle>,
+    /// `obstacles` again, one array per field, for [`Self::cell_occupied`].
+    columns: ObstacleColumns,
     start: Point,
     goal: Point,
     density: ObstacleDensity,
+}
+
+/// The obstacles' centre coordinates and radii as three arrays, so the
+/// occupancy test can run over every obstacle in vector lanes.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct ObstacleColumns {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    radius: Vec<f64>,
+}
+
+impl ObstacleColumns {
+    fn new(obstacles: &[Obstacle]) -> Self {
+        Self {
+            x: obstacles.iter().map(|o| o.center.x).collect(),
+            y: obstacles.iter().map(|o| o.center.y).collect(),
+            radius: obstacles.iter().map(|o| o.radius).collect(),
+        }
+    }
 }
 
 impl ObstacleWorld {
@@ -278,6 +299,7 @@ impl ObstacleWorld {
         }
         Ok(Self {
             arena_size_m,
+            columns: ObstacleColumns::new(&obstacles),
             obstacles,
             start,
             goal,
@@ -313,6 +335,7 @@ impl ObstacleWorld {
         }
         Ok(Self {
             arena_size_m,
+            columns: ObstacleColumns::new(&obstacles),
             obstacles,
             start,
             goal,
@@ -401,14 +424,20 @@ impl ObstacleWorld {
         {
             return true;
         }
-        self.obstacles.iter().any(|o| {
+        // Every obstacle is tested, with no early exit, so the loop runs
+        // in vector lanes; an `or` over the tests does not depend on their
+        // order, so this is `any` over `obstacles`.
+        let ObstacleColumns { x, y, radius } = &self.columns;
+        let mut occupied = false;
+        for ((&ox, &oy), &r) in x.iter().zip(y).zip(radius) {
             // Distance from the obstacle centre to the closest point of the cell.
-            let dx = (o.center.x - center.x).abs() - half;
-            let dy = (o.center.y - center.y).abs() - half;
+            let dx = (ox - center.x).abs() - half;
+            let dy = (oy - center.y).abs() - half;
             let dx = dx.max(0.0);
             let dy = dy.max(0.0);
-            (dx * dx + dy * dy).sqrt() < o.radius
-        })
+            occupied |= (dx * dx + dy * dy).sqrt() < r;
+        }
+        occupied
     }
 }
 
@@ -420,6 +449,31 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// `w` with its obstacles replaced.
+    fn replace_obstacles(w: &ObstacleWorld, obstacles: Vec<Obstacle>) -> ObstacleWorld {
+        ObstacleWorld::with_obstacles(w.arena_size_m(), obstacles, w.start(), w.goal(), w.density()).unwrap()
+    }
+
+    /// [`ObstacleWorld::cell_occupied`] as `any` over the obstacles,
+    /// stopping at the first one that overlaps the cell.
+    fn cell_occupied_short_circuit(w: &ObstacleWorld, center: &Point, cell_size: f64) -> bool {
+        let half = cell_size / 2.0;
+        if center.x - half < 0.0
+            || center.y - half < 0.0
+            || center.x + half > w.arena_size_m()
+            || center.y + half > w.arena_size_m()
+        {
+            return true;
+        }
+        w.obstacles().iter().any(|o| {
+            let dx = (o.center.x - center.x).abs() - half;
+            let dy = (o.center.y - center.y).abs() - half;
+            let dx = dx.max(0.0);
+            let dy = dy.max(0.0);
+            (dx * dx + dy * dy).sqrt() < o.radius
+        })
     }
 
     #[test]
@@ -462,12 +516,14 @@ mod tests {
 
     #[test]
     fn segment_collision_detects_obstacle_crossing() {
-        let mut w = ObstacleWorld::generate(20.0, ObstacleDensity::Sparse, &mut rng(3)).unwrap();
+        let w = ObstacleWorld::generate(20.0, ObstacleDensity::Sparse, &mut rng(3)).unwrap();
         // Plant a known obstacle in the middle and test a segment through it.
-        w.obstacles.push(Obstacle {
+        let mut obstacles = w.obstacles().to_vec();
+        obstacles.push(Obstacle {
             center: Point::new(10.0, 10.0),
             radius: 1.0,
         });
+        let w = replace_obstacles(&w, obstacles);
         assert!(w.segment_collides(
             &Point::new(7.0, 10.0),
             &Point::new(13.0, 10.0),
@@ -484,12 +540,12 @@ mod tests {
 
     #[test]
     fn cell_occupancy_matches_obstacle_positions() {
-        let mut w = ObstacleWorld::generate(20.0, ObstacleDensity::Sparse, &mut rng(4)).unwrap();
-        w.obstacles.clear();
-        w.obstacles.push(Obstacle {
+        let w = ObstacleWorld::generate(20.0, ObstacleDensity::Sparse, &mut rng(4)).unwrap();
+        let obstacle = Obstacle {
             center: Point::new(10.0, 10.0),
             radius: 0.5,
-        });
+        };
+        let w = replace_obstacles(&w, vec![obstacle]);
         assert!(w.cell_occupied(&Point::new(10.0, 10.0), 0.75));
         assert!(w.cell_occupied(&Point::new(10.8, 10.0), 0.75));
         assert!(!w.cell_occupied(&Point::new(13.0, 10.0), 0.75));
@@ -565,6 +621,63 @@ mod tests {
             }
         }
 
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn prop_cell_occupied_matches_short_circuit_any(
+            seed in 0u64..10_000,
+            density in 0usize..3,
+            x in -1.0f64..21.0,
+            y in -1.0f64..21.0,
+            cell in 0.25f64..1.5,
+            radius in 0.3f64..1.0,
+            snap in 0usize..4,
+        ) {
+            let density = ObstacleDensity::all()[density];
+            let generated = ObstacleWorld::generate(20.0, density, &mut rng(seed)).unwrap();
+            let half = cell / 2.0;
+            // Free cells, and cells with an edge on the arena boundary.
+            let center = match snap {
+                0 => Point::new(x, y),
+                1 => Point::new(half, y),
+                2 => Point::new(x, 20.0 - half),
+                _ => Point::new(20.0 - half, half),
+            };
+            // Obstacles tangent to the cell: beside an edge, and off a
+            // corner along the diagonal.
+            let diagonal = radius / 2f64.sqrt();
+            let tangent = vec![
+                Obstacle { center: Point::new(center.x + half + radius, center.y), radius },
+                Obstacle {
+                    center: Point::new(center.x - half - diagonal, center.y - half - diagonal),
+                    radius,
+                },
+            ];
+            let mut all = generated.obstacles().to_vec();
+            all.extend_from_slice(&tangent);
+            let worlds = [
+                generated.clone(),
+                replace_obstacles(&generated, tangent),
+                replace_obstacles(&generated, all),
+            ];
+            for world in &worlds {
+                // The queried cell and its neighbours a cell away.
+                for (i, j) in [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 1.0)] {
+                    let at = Point::new(center.x + i * cell, center.y + j * cell);
+                    prop_assert_eq!(
+                        world.cell_occupied(&at, cell),
+                        cell_occupied_short_circuit(world, &at, cell),
+                        "cell at ({}, {}) of side {}", at.x, at.y, cell
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
         #[test]
         fn prop_point_distance_is_symmetric(x1 in -50.0f64..50.0, y1 in -50.0f64..50.0, x2 in -50.0f64..50.0, y2 in -50.0f64..50.0) {
             let a = Point::new(x1, y1);
